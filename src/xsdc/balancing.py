@@ -50,32 +50,48 @@ def project_box(x, n_sigma, n_delta):
     return np.clip(x, n_sigma - n_delta, n_sigma + n_delta)
 
 
-def _normalize_known(known, n):
-    """Validate and dedupe the pinned-entry list; returns a dict (i,j) -> m."""
-    entries = {}
-    for item in known:
-        i, j, m = int(item[0]), int(item[1]), float(item[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"known entry ({i}, {j}) out of range for n={n}")
-        if m not in (0.0, 1.0):
-            raise ValueError(f"known value must be 0 or 1, got {m} at ({i}, {j})")
-        if i == j and m == 0.0:
-            raise ValueError(f"diagonal entry ({i}, {i}) pinned to 0 is infeasible")
-        if (i, j) in entries and entries[(i, j)] != m:
-            raise ValueError(f"conflicting known values at ({i}, {j})")
-        entries[(i, j)] = m
-    for (i, j), m in entries.items():
-        if entries.get((j, i)) != m:
-            raise ValueError(
-                f"known set not closed under transposition at ({i}, {j})"
-            )
-    if entries:
-        missing = [i for i in range(n) if entries.get((i, i)) != 1.0]
-        if missing:
-            raise ValueError(
-                f"diagonal entry ({missing[0]}, {missing[0]}) must be pinned to 1"
-            )
-    return entries
+def _pin_arrays(known, n):
+    """Validate (i, j, m) triples into an n x n pinned mask and pin values.
+
+    The first offending triple in input order is reported; for that triple
+    the checks run in the order listed below.
+    """
+    known = np.asarray(known, dtype=np.float64).reshape(-1, 3)
+    i, j = known[:, :2].astype(np.int64).T
+    m = known[:, 2]
+    in_range = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    # a triple conflicts when the first triple at its entry pins another value
+    _, first, inverse = np.unique(
+        np.where(in_range, i * n + j, -1), return_index=True, return_inverse=True
+    )
+    checks = (
+        (~in_range, "known entry ({i}, {j}) out of range for n={n}"),
+        ((m != 0.0) & (m != 1.0), "known value must be 0 or 1, got {m} at ({i}, {j})"),
+        ((i == j) & (m == 0.0), "diagonal entry ({i}, {i}) pinned to 0 is infeasible"),
+        (m != m[first[inverse]], "conflicting known values at ({i}, {j})"),
+    )
+    failed = np.array([bad for bad, _ in checks])
+    if failed.any():
+        t = int(np.argmax(failed.any(axis=0)))
+        message = checks[int(np.argmax(failed[:, t]))][1]
+        raise ValueError(message.format(i=int(i[t]), j=int(j[t]), m=float(m[t]), n=n))
+    pinned = np.zeros((n, n), dtype=bool)
+    pinned[i, j] = True
+    values = np.zeros((n, n))
+    values[i, j] = m
+    # the first triple at an open entry is that entry's first appearance
+    open_entry = (pinned & ~(pinned.T & (values.T == values)))[i, j]
+    if open_entry.any():
+        t = int(np.argmax(open_entry))
+        raise ValueError(
+            f"known set not closed under transposition at ({i[t]}, {j[t]})"
+        )
+    missing = np.flatnonzero(~np.diagonal(pinned))
+    if m.size and missing.size:
+        raise ValueError(
+            f"diagonal entry ({missing[0]}, {missing[0]}) must be pinned to 1"
+        )
+    return pinned, values
 
 
 @dataclass
@@ -85,9 +101,12 @@ class BalancingProblem:
     Attributes
     ----------
     A : (n, n) coupling cost
-    known : list of (i, j, m) pinned entries with m in {0, 1}; must contain
-        the full diagonal (i, i, 1) and be closed under transposition.  An
-        empty list is the pure-transport mode used by the Sinkhorn tests.
+    known : (i, j, m) pinned entries with m in {0, 1}, as a list of triples
+        or an (m, 3) array; must contain the full diagonal (i, i, 1) and be
+        closed under transposition.  Duplicates are allowed when they agree.
+        An empty list is the pure-transport mode used by the Sinkhorn tests.
+        Validation stores the pins as two (n, n) arrays: the boolean mask
+        pinned and the 0/1 pin_values (zero where nothing is pinned).
     n_min, n_max : bounds on every row and column sum
     mu : entropy weight; None means default_mu(A)
     iters : alternating rounds
@@ -104,7 +123,8 @@ class BalancingProblem:
     iters: int = 10
     M0: np.ndarray = None
     num_clusters: int = None
-    _known_map: dict = field(init=False, repr=False)
+    pinned: np.ndarray = field(init=False, repr=False)
+    pin_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
@@ -113,7 +133,7 @@ class BalancingProblem:
         if not np.all(np.isfinite(self.A)):
             raise ValueError("A has non-finite entries")
         n = self.A.shape[0]
-        self._known_map = _normalize_known(self.known, n)
+        self.pinned, self.pin_values = _pin_arrays(self.known, n)
         self.n_min = float(self.n_min)
         self.n_max = float(self.n_max)
         if not 0 <= self.n_min <= self.n_max:
@@ -210,11 +230,7 @@ def balance(problem, mu=None):
         raise ValueError(f"mu must be positive, got {mu}")
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
 
-    mask = np.zeros((n, n), dtype=bool)
-    m_known = np.zeros((n, n))
-    for (i, j), m in problem._known_map.items():
-        mask[i, j] = True
-        m_known[i, j] = m
+    mask, m_known = problem.pinned, problem.pin_values
     ones_mask = mask & (m_known == 1.0)
 
     with np.errstate(over="ignore", under="ignore"):
@@ -273,10 +289,7 @@ def balance(problem, mu=None):
         N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
         M = u[:, None] * N * v[None, :]
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
-    if problem._known_map:
-        known_violation = float(np.max(np.abs(M[mask] - m_known[mask])))
-    else:
-        known_violation = 0.0
+    known_violation = float(np.max(np.abs(M[mask] - m_known[mask]), initial=0.0))
     return EquivalenceMatrix(
         M=M,
         u=u,

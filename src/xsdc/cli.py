@@ -196,8 +196,12 @@ def _read_matrix(path):
 
 
 def _read_constraints(path):
-    """Constraint triples i,j,value; asymmetric pairs are a config error."""
-    entries = {}
+    """Constraint triples i,j,value, each also given mirrored as j,i,value.
+
+    BalancingProblem rejects conflicting values.  The mirrors come first, so
+    an asymmetric pair given as i,j,a and later j,i,b is named as (i, j).
+    """
+    triples = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -207,24 +211,10 @@ def _read_constraints(path):
             if len(cells) != 3:
                 raise ParseError("expected i,j,value", line=lineno)
             try:
-                i, j, v = int(cells[0]), int(cells[1]), float(cells[2])
+                triples.append((int(cells[0]), int(cells[1]), float(cells[2])))
             except ValueError:
                 raise ParseError(f"bad triple {line!r}", line=lineno) from None
-            if entries.get((i, j), v) != v:
-                raise ParseError(f"conflicting values at ({i}, {j})", line=lineno)
-            entries[(i, j)] = v
-    for (i, j), v in entries.items():
-        if entries.get((j, i), v) != v:
-            raise ValueError(
-                f"asymmetric constraint pair ({i}, {j}): "
-                f"{v:g} vs {entries[(j, i)]:g}"
-            )
-    out = []
-    for (i, j), v in sorted(entries.items()):
-        out.append((i, j, v))
-        if (j, i) not in entries:
-            out.append((j, i, v))
-    return out
+    return [(j, i, v) for i, j, v in triples] + triples
 
 
 def cmd_balance(args):

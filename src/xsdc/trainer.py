@@ -3,9 +3,11 @@
 The loop interleaves three pieces per mini-batch: the feature forward pass,
 entropic balancing of the batch agreement matrix under the known entries
 (pinned diagonal, same-label pairs, injected pair constraints), and one
-landmark gradient step on the closed-form ridge objective.  Fully labeled
-batches skip balancing: their agreement matrix is determined by the labels,
-so the loop degenerates to plain supervised training on the same code path.
+landmark gradient step on the closed-form ridge objective.  _batch_known
+gives each batch's known entries as one array, which BalancingProblem
+validates into a pinned mask and values.  Fully labeled batches skip
+balancing: their agreement matrix is determined by the labels, so the loop
+degenerates to plain supervised training on the same code path.
 
 Three modes share the machinery.  "semi" mixes labeled and unlabeled rows
 per batch, "supervised" draws labeled rows only, "unsupervised" treats every
@@ -15,7 +17,7 @@ train row as unlabeled and labels the result by spectral clustering.
 import json
 import math
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .balancing import BalancingProblem, balance_doubling
 from .errors import AbortedRun, BalancingDivergence, TrainingDiverged
@@ -34,26 +36,7 @@ MODES = ("semi", "supervised", "unsupervised")
 CHECKPOINT_VERSION = 1
 MAX_MU_DOUBLINGS = 20
 OBJECTIVE_CEILING = 1e12
-
-_CONFIG_SCALARS = (
-    "num_landmarks",
-    "batch_size",
-    "supervised_init_iters",
-    "main_iters",
-    "eval_every",
-    "labeled_batch_fraction",
-    "init_learning_rate",
-    "balance_iters",
-    "mu",
-    "n_min_frac",
-    "n_max_frac",
-    "seed",
-    "eval_batch_size",
-    "sigma",
-    "epsilon",
-    "newton_iters",
-)
-_CONFIG_ULR = ("lam", "alpha", "rho", "learning_rate")
+_NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
 
 
 @dataclass
@@ -145,6 +128,14 @@ class TrainConfig:
         return cls(ulr=UlrConfig(**ulr_kwargs), constraints=constraints, **doc)
 
 
+# config keys in field order, which fixes the key order of checkpoint.json
+# and summary.json
+_CONFIG_SCALARS = tuple(
+    f.name for f in fields(TrainConfig) if f.name not in ("ulr", "constraints")
+)
+_CONFIG_ULR = tuple(f.name for f in fields(UlrConfig))
+
+
 @dataclass
 class TrainState:
     layer: NystromLayer
@@ -227,15 +218,9 @@ class _PoolSampler:
         return picked
 
 
-def _one_hot(labels, k):
-    Y = np.zeros((len(labels), k))
-    Y[np.arange(len(labels)), labels] = 1.0
-    return Y
-
-
-def _label_agreement(labels, k):
-    Y = _one_hot(labels, k)
-    return Y @ Y.T
+def _agreement(labels):
+    """0/1 matrix of equal labels: exactly the indicator product Y Y^T."""
+    return (labels[:, None] == labels[None, :]).astype(np.float64)
 
 
 def _size_bounds(config, k, batch):
@@ -255,15 +240,18 @@ def _build_layer(X_train, config):
     )
 
 
-def _check_constraints(dataset, config):
-    for i, j, v in config.constraints:
-        if not (0 <= int(i) < dataset.n and 0 <= int(j) < dataset.n):
+def _check_constraints(dataset, constraints):
+    """Reject the first constraint outside the dataset or against its labels."""
+    rows, values = constraints[:, :2], constraints[:, 2]
+    in_range = np.all((0 <= rows) & (rows < dataset.n), axis=1)
+    a, b = dataset.labels[np.where(in_range[:, None], rows, 0)].T
+    bad = ~in_range | ((a >= 0) & (b >= 0) & (values != (a == b)))
+    if bad.any():
+        t = int(np.argmax(bad))
+        (i, j), v = rows[t], values[t]
+        if not in_range[t]:
             raise ValueError(f"constraint ({i}, {j}) out of range")
-        a, b = dataset.labels[int(i)], dataset.labels[int(j)]
-        if a >= 0 and b >= 0 and float(v) != float(a == b):
-            raise ValueError(
-                f"constraint ({i}, {j}, {v:g}) contradicts the labels"
-            )
+        raise ValueError(f"constraint ({i}, {j}, {v:g}) contradicts the labels")
 
 
 def supervised_init(state, dataset, config, metrics=None):
@@ -288,7 +276,7 @@ def supervised_init(state, dataset, config, metrics=None):
     m = min(int(config.batch_size), labeled.size)
     for _ in range(int(config.supervised_init_iters)):
         rows = sampler.draw(m)
-        M = _label_agreement(dataset.labels[rows], dataset.k)
+        M = _agreement(dataset.labels[rows])
         try:
             result = ulr_step(state.layer, dataset.X[rows], M, step_cfg)
         except (ValueError, TrainingDiverged) as err:
@@ -360,7 +348,7 @@ def _cluster_rows(layer, dataset, rows, config):
     """Balance the agreement matrix of the given rows and cluster it."""
     phi = forward(layer, dataset.X[rows]).phi
     A = ridge_kernel(phi, config.ulr.lam)
-    known = [(i, i, 1.0) for i in range(rows.size)]
+    known, _, _ = _batch_known(np.full(rows.size, -1), rows, _NO_CONSTRAINTS, dataset.n)
     lo, hi = _size_bounds(config, dataset.k, rows.size)
     problem = BalancingProblem(
         A, known, lo, hi, mu=config.mu, iters=config.balance_iters,
@@ -371,26 +359,28 @@ def _cluster_rows(layer, dataset, rows, config):
     return assign.labels
 
 
-def _batch_known(batch_labels, rows, config, k):
-    """Pinned entries for one batch: diagonal, label pairs, constraints."""
+def _batch_known(batch_labels, rows, constraints, n):
+    """Pinned entries of one batch as an (m, 3) array of (i, j, value) rows.
+
+    Pins the diagonal, every pair of labeled rows to its label agreement and,
+    in both orientations, each constraint whose two rows are in the batch;
+    constraints holds (i, j, value) int rows over a dataset of n rows.  Also
+    returns the batch positions (c, 2) and the values of those constraints.
+    """
     b = rows.size
-    known = [(i, i, 1.0) for i in range(b)]
-    labeled_pos = np.flatnonzero(batch_labels >= 0)
-    for a_idx in range(labeled_pos.size):
-        for b_idx in range(a_idx + 1, labeled_pos.size):
-            i, j = int(labeled_pos[a_idx]), int(labeled_pos[b_idx])
-            v = float(batch_labels[i] == batch_labels[j])
-            known.append((i, j, v))
-            known.append((j, i, v))
-    pos_of = {int(r): i for i, r in enumerate(rows)}
-    pairs = []
-    for gi, gj, v in config.constraints:
-        pi, pj = pos_of.get(int(gi)), pos_of.get(int(gj))
-        if pi is not None and pj is not None:
-            known.append((pi, pj, float(v)))
-            known.append((pj, pi, float(v)))
-            pairs.append((pi, pj, float(v)))
-    return known, pairs
+    labeled = np.flatnonzero(batch_labels >= 0)
+    position = np.full(n, -1)
+    position[rows] = np.arange(b)
+    pos = position[constraints[:, :2]]
+    inside = np.all(pos >= 0, axis=1)
+    pos, values = pos[inside], constraints[inside, 2]
+    diagonal = np.arange(b)
+    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pos[:, 0], pos[:, 1]])
+    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pos[:, 1], pos[:, 0]])
+    m = np.concatenate(
+        [np.ones(b), _agreement(batch_labels[labeled]).ravel(), values, values]
+    )
+    return np.column_stack([i, j, m]), pos, values
 
 
 def _checkpoint_doc(layer, classifier, config):
@@ -493,7 +483,8 @@ def train(dataset, config, mode="semi", listener=None):
     train_rows = dataset.split_indices("train")
     if train_rows.size < 2:
         raise ValueError("training needs at least 2 train rows")
-    _check_constraints(dataset, config)
+    constraints = np.asarray(config.constraints, dtype=np.int64).reshape(-1, 3)
+    _check_constraints(dataset, constraints)
     labeled = dataset.labeled_indices("train") if mode != "unsupervised" else np.empty(0, np.int64)
     if mode in ("semi", "supervised") and labeled.size < 2:
         raise ValueError(f"mode {mode!r} needs at least 2 labeled train rows")
@@ -534,10 +525,10 @@ def train(dataset, config, mode="semi", listener=None):
             batch_labels[:] = -1
         try:
             feats = forward(state.layer, dataset.X[rows])
-            known, pairs = _batch_known(batch_labels, rows, config, dataset.k)
+            known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
             if np.all(batch_labels >= 0):
                 # labels pin every entry: balancing has nothing left to do
-                M = _label_agreement(batch_labels, dataset.k)
+                M = _agreement(batch_labels)
                 mu_used = marginal_violation = float("nan")
             else:
                 A = ridge_kernel(feats.phi, config.ulr.lam)
@@ -557,8 +548,8 @@ def train(dataset, config, mode="semi", listener=None):
                 M = balanced.M
                 mu_used = balanced.mu
                 marginal_violation = balanced.marginal_violation
-            if pairs:
-                worst = max(abs(M[i, j] - v) for i, j, v in pairs)
+            if values.size:
+                worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
                 metrics.constraint_violations.append((state.iteration, worst))
             result = ulr_step(state.layer, dataset.X[rows], M, config.ulr, batch=feats)
         except ValueError as err:
@@ -613,9 +604,10 @@ def _finalize(state, dataset, metrics):
             rows = np.sort(rng.choice(rows, size=config.eval_batch_size, replace=False))
         labels = np.full(n, -1, dtype=np.int64)
         labels[rows] = _cluster_rows(state.layer, dataset, rows, config)
-        sources = ["spectral" if i in set(rows.tolist()) else "none" for i in range(n)]
+        clustered = np.zeros(n, dtype=bool)
+        clustered[rows] = True
         metrics.final_labels = labels
-        metrics.final_sources = sources
+        metrics.final_sources = ["spectral" if c else "none" for c in clustered.tolist()]
     else:
         labeled = dataset.labeled_indices("train")
         phi = forward(state.layer, dataset.X).phi
@@ -635,37 +627,34 @@ def _finalize(state, dataset, metrics):
         metrics.record(state.iteration, "test", accuracy=test_accuracy)
 
 
-_SWEEP_STAGES = (
-    "lam",
-    "init_learning_rate",
-    "size_bounds",
-    "learning_rate",
-    "rho",
-    "alpha",
-)
+# sweep stages in run order, each with the TrainConfig or UlrConfig fields
+# it sets; a stage that sets several fields takes one value per field
+_SWEEP_FIELDS = {
+    "lam": ("lam",),
+    "init_learning_rate": ("init_learning_rate",),
+    "size_bounds": ("n_min_frac", "n_max_frac"),
+    "learning_rate": ("learning_rate",),
+    "rho": ("rho",),
+    "alpha": ("alpha",),
+}
+_SWEEP_STAGES = tuple(_SWEEP_FIELDS)
+
+
+def _sweep_settings(stage, value):
+    names = _SWEEP_FIELDS[stage]
+    values = value if len(names) > 1 else (value,)
+    return {name: float(v) for name, v in zip(names, values, strict=True)}
 
 
 def _apply_sweep_value(config, stage, value):
-    if stage == "lam":
-        return replace(config, ulr=replace(config.ulr, lam=float(value)))
-    if stage == "init_learning_rate":
-        return replace(config, init_learning_rate=float(value))
-    if stage == "size_bounds":
-        lo, hi = value
-        return replace(config, n_min_frac=float(lo), n_max_frac=float(hi))
-    if stage == "learning_rate":
-        return replace(config, ulr=replace(config.ulr, learning_rate=float(value)))
-    if stage == "rho":
-        return replace(config, ulr=replace(config.ulr, rho=float(value)))
-    if stage == "alpha":
-        return replace(config, ulr=replace(config.ulr, alpha=float(value)))
-    raise ValueError(f"unknown sweep stage {stage!r}")
+    settings = _sweep_settings(stage, value)
+    ulr = {k: v for k, v in settings.items() if k in _CONFIG_ULR}
+    top = {k: v for k, v in settings.items() if k not in _CONFIG_ULR}
+    return replace(config, ulr=replace(config.ulr, **ulr), **top)
 
 
 def _format_sweep_value(stage, value):
-    if stage == "size_bounds":
-        return f"{float(value[0]):g}:{float(value[1]):g}"
-    return f"{float(value):g}"
+    return ":".join(f"{v:g}" for v in _sweep_settings(stage, value).values())
 
 
 def sweep(dataset, grids, config, mode="semi"):

@@ -68,35 +68,59 @@ class TestProjectBox:
 
 
 class TestProblemValidation:
+    """Each validation check, on known given as a list of triples."""
+
+    form = staticmethod(list)
+
+    def problem(self, A, known, n_min=1.0, n_max=1.0):
+        return BalancingProblem(A, self.form(known), n_min, n_max)
+
     def test_transpose_closure_required(self):
         A = np.zeros((3, 3))
         known = diagonal_known(3) + [(0, 1, 1)]
         with pytest.raises(ValueError, match="transposition"):
-            BalancingProblem(A, known, 1.0, 1.0)
+            self.problem(A, known)
 
     def test_diagonal_required_when_nonempty(self):
         A = np.zeros((3, 3))
         known = [(0, 1, 1), (1, 0, 1)]
         with pytest.raises(ValueError, match="diagonal"):
-            BalancingProblem(A, known, 1.0, 1.0)
+            self.problem(A, known)
 
     def test_diagonal_zero_infeasible(self):
         A = np.zeros((2, 2))
         with pytest.raises(ValueError, match="infeasible"):
-            BalancingProblem(A, [(0, 0, 0), (1, 1, 1)], 1.0, 1.0)
+            self.problem(A, [(0, 0, 0), (1, 1, 1)])
 
     def test_conflicting_duplicates(self):
         A = np.zeros((2, 2))
         known = diagonal_known(2) + [(0, 1, 1), (1, 0, 1), (0, 1, 0)]
         with pytest.raises(ValueError, match="conflicting"):
-            BalancingProblem(A, known, 1.0, 1.0)
+            self.problem(A, known)
+
+    def test_out_of_range_entry(self):
+        known = diagonal_known(3) + [(0, 3, 1), (3, 0, 1)]
+        with pytest.raises(ValueError, match=r"\(0, 3\) out of range for n=3"):
+            self.problem(np.zeros((3, 3)), known)
+
+    def test_value_other_than_zero_or_one(self):
+        known = diagonal_known(2) + [(0, 1, 0.5), (1, 0, 0.5)]
+        with pytest.raises(ValueError, match=r"must be 0 or 1, got 0.5 at \(0, 1\)"):
+            self.problem(np.zeros((2, 2)), known)
 
     def test_empty_known_is_pure_transport(self):
-        BalancingProblem(np.zeros((3, 3)), [], 1.0, 1.0)
+        problem = self.problem(np.zeros((3, 3)), [])
+        assert not problem.pinned.any()
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            BalancingProblem(np.zeros((2, 2)), [], 2.0, 1.0)
+            self.problem(np.zeros((2, 2)), [], 2.0, 1.0)
+
+
+class TestProblemValidationArray(TestProblemValidation):
+    """The same checks on known given as an (m, 3) array."""
+
+    form = staticmethod(lambda known: np.array(known, dtype=np.float64).reshape(-1, 3))
 
 
 class TestBalance:
