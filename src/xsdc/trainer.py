@@ -3,7 +3,9 @@
 The loop interleaves three pieces per mini-batch: the feature forward pass,
 entropic balancing of the batch agreement matrix under the known entries
 (pinned diagonal, same-label pairs, injected pair constraints), and one
-landmark gradient step on the closed-form ridge objective.  _batch_known
+landmark gradient step on the closed-form ridge objective.  Both read the
+batch's ridge kernel A(phi), which the loop builds once per batch and hands
+to balancing and to the step alike.  _batch_known
 gives each batch's known entries as one array, which BalancingProblem
 validates into a pinned mask and values.  Fully labeled batches skip
 balancing: their agreement matrix is determined by the labels, so the loop
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .balancing import BalancingProblem, balance_doubling
 from .errors import AbortedRun, BalancingDivergence, TrainingDiverged
-from .features import NystromLayer, forward, init_landmarks, median_bandwidth
+from .features import NystromLayer, forward, init_landmarks
 from .labeling import (
     fit_final_classifier,
     hungarian_match,
@@ -223,10 +225,16 @@ def _agreement(labels):
     return (labels[:, None] == labels[None, :]).astype(np.float64)
 
 
-def _size_bounds(config, k, batch):
+def _balance(A, known, config, k):
+    """Balance one batch's agreement matrix against its ridge kernel A."""
+    b = A.shape[0]
     lo = 1.0 / k if config.n_min_frac is None else float(config.n_min_frac)
     hi = 1.0 / k if config.n_max_frac is None else float(config.n_max_frac)
-    return lo * batch, hi * batch
+    problem = BalancingProblem(
+        A, known, lo * b, hi * b, mu=config.mu, iters=config.balance_iters,
+        num_clusters=k,
+    )
+    return balance_doubling(problem, MAX_MU_DOUBLINGS)
 
 
 def _build_layer(X_train, config):
@@ -296,10 +304,7 @@ def _evaluate_full(state, dataset, split):
     if split_rows.size == 0:
         raise ValueError(f"split {split!r} is empty")
     if mode == "unsupervised":
-        rows = split_rows
-        if rows.size > config.eval_batch_size:
-            rng = np.random.default_rng([config.seed, 7])
-            rows = np.sort(rng.choice(rows, size=config.eval_batch_size, replace=False))
+        rows = _eval_rows(split_rows, config, 7)
         labels = _cluster_rows(state.layer, dataset, rows, config)
         truth = dataset.true_labels[rows]
         mask = truth >= 0
@@ -313,8 +318,9 @@ def _evaluate_full(state, dataset, split):
         raise ValueError("semi-supervised evaluation needs labeled train rows")
     rows = train_rows if split == "train" else np.concatenate([train_rows, split_rows])
     phi = forward(state.layer, dataset.X[rows]).phi
-    pos_of = {int(r): i for i, r in enumerate(rows)}
-    labeled_pos = np.array([pos_of[int(r)] for r in labeled], dtype=np.int64)
+    position = np.full(dataset.n, -1, dtype=np.int64)
+    position[rows] = np.arange(rows.size)
+    labeled_pos = position[labeled]
     assign = nn_propagate(phi, labeled_pos, dataset.labels[labeled])
     n_train = train_rows.size
     classifier = fit_final_classifier(
@@ -344,19 +350,20 @@ def evaluate(state, dataset, split):
     return accuracy
 
 
+def _eval_rows(rows, config, stream):
+    """At most eval_batch_size of rows, sorted, drawn from the given stream."""
+    if rows.size <= config.eval_batch_size:
+        return rows
+    rng = np.random.default_rng([config.seed, stream])
+    return np.sort(rng.choice(rows, size=config.eval_batch_size, replace=False))
+
+
 def _cluster_rows(layer, dataset, rows, config):
     """Balance the agreement matrix of the given rows and cluster it."""
-    phi = forward(layer, dataset.X[rows]).phi
-    A = ridge_kernel(phi, config.ulr.lam)
+    A = ridge_kernel(forward(layer, dataset.X[rows]).phi, config.ulr.lam)
     known, _, _ = _batch_known(np.full(rows.size, -1), rows, _NO_CONSTRAINTS, dataset.n)
-    lo, hi = _size_bounds(config, dataset.k, rows.size)
-    problem = BalancingProblem(
-        A, known, lo, hi, mu=config.mu, iters=config.balance_iters,
-        num_clusters=dataset.k,
-    )
-    result = balance_doubling(problem, MAX_MU_DOUBLINGS)
-    assign = spectral_cluster(result.M, dataset.k, seed=config.seed)
-    return assign.labels
+    result = _balance(A, known, config, dataset.k)
+    return spectral_cluster(result.M, dataset.k, seed=config.seed).labels
 
 
 def _batch_known(batch_labels, rows, constraints, n):
@@ -525,20 +532,15 @@ def train(dataset, config, mode="semi", listener=None):
             batch_labels[:] = -1
         try:
             feats = forward(state.layer, dataset.X[rows])
+            A = ridge_kernel(feats.phi, config.ulr.lam)
             known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
             if np.all(batch_labels >= 0):
                 # labels pin every entry: balancing has nothing left to do
                 M = _agreement(batch_labels)
                 mu_used = marginal_violation = float("nan")
             else:
-                A = ridge_kernel(feats.phi, config.ulr.lam)
-                lo, hi = _size_bounds(config, dataset.k, rows.size)
-                problem = BalancingProblem(
-                    A, known, lo, hi, mu=config.mu,
-                    iters=config.balance_iters, num_clusters=dataset.k,
-                )
                 try:
-                    balanced = balance_doubling(problem, MAX_MU_DOUBLINGS)
+                    balanced = _balance(A, known, config, dataset.k)
                 except BalancingDivergence as err:
                     raise AbortedRun(
                         f"balancing diverged at iteration {state.iteration}: {err}",
@@ -551,11 +553,9 @@ def train(dataset, config, mode="semi", listener=None):
             if values.size:
                 worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
                 metrics.constraint_violations.append((state.iteration, worst))
-            result = ulr_step(state.layer, dataset.X[rows], M, config.ulr, batch=feats)
-        except ValueError as err:
+            result = ulr_step(state.layer, dataset.X[rows], M, config.ulr, batch=feats, A=A)
+        except (ValueError, TrainingDiverged) as err:
             # mid-loop numeric collapse (degenerate features, overflow)
-            raise TrainingDiverged(str(err), iteration=state.iteration) from err
-        except TrainingDiverged as err:
             raise TrainingDiverged(str(err), iteration=state.iteration) from err
         if not np.isfinite(result.objective) or abs(result.objective) > OBJECTIVE_CEILING:
             raise TrainingDiverged(
@@ -592,22 +592,20 @@ def train(dataset, config, mode="semi", listener=None):
     return state, metrics
 
 
+def _where_str(mask, yes, no):
+    """np.where(mask, yes, no).tolist(), sharing two str objects instead of one per row."""
+    return np.array([no, yes], dtype=object)[mask.astype(np.intp)].tolist()
+
+
 def _finalize(state, dataset, metrics):
     """Final labels over the dataset and the test score, best parameters."""
     config, mode = state.config, state.mode
-    n = dataset.n
     if mode == "unsupervised":
-        train_rows = dataset.split_indices("train")
-        rows = train_rows
-        if rows.size > config.eval_batch_size:
-            rng = np.random.default_rng([config.seed, 8])
-            rows = np.sort(rng.choice(rows, size=config.eval_batch_size, replace=False))
-        labels = np.full(n, -1, dtype=np.int64)
+        rows = _eval_rows(dataset.split_indices("train"), config, 8)
+        labels = np.full(dataset.n, -1, dtype=np.int64)
         labels[rows] = _cluster_rows(state.layer, dataset, rows, config)
-        clustered = np.zeros(n, dtype=bool)
-        clustered[rows] = True
         metrics.final_labels = labels
-        metrics.final_sources = ["spectral" if c else "none" for c in clustered.tolist()]
+        metrics.final_sources = _where_str(labels >= 0, "spectral", "none")
     else:
         labeled = dataset.labeled_indices("train")
         phi = forward(state.layer, dataset.X).phi
@@ -617,10 +615,7 @@ def _finalize(state, dataset, metrics):
             phi[train_rows], assign.labels[train_rows], config.ulr.lam, k=dataset.k
         )
         metrics.final_labels = assign.labels
-        metrics.final_sources = [
-            "ground_truth" if dataset.labels[i] >= 0 else "nearest_neighbor"
-            for i in range(n)
-        ]
+        metrics.final_sources = _where_str(dataset.labels >= 0, "ground_truth", "nearest_neighbor")
     if _scoreable(dataset, "test"):
         test_accuracy, _ = _evaluate_full(state, dataset, "test")
         metrics.test_accuracy = test_accuracy

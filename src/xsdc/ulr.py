@@ -109,7 +109,7 @@ class UlrStepResult:
     grad_landmarks: np.ndarray
 
 
-def ulr_step(layer, X, M, config, batch=None):
+def ulr_step(layer, X, M, config, batch=None, A=None):
     """One fixed-rate gradient step on the landmarks.
 
     Evaluates the total objective lam tr(M A(phi)) + alpha ||V||^2
@@ -125,13 +125,17 @@ def ulr_step(layer, X, M, config, batch=None):
     config : UlrConfig
     batch : optional FeatureBatch from forward(layer, X); recomputed here
         when not supplied.
+    A : optional ridge_kernel(batch.phi, config.lam) the caller already
+        built (for balancing); computed here when not supplied.  Needs batch.
     """
+    if A is not None and batch is None:
+        raise ValueError("A is only accepted together with the batch it came from")
     if batch is None:
         batch = forward(layer, X, normalize=True)
-    phi = batch.phi
-    phi, M = _check_pair(phi, M)
+    phi, M = _check_pair(batch.phi, M)
     with np.errstate(invalid="ignore", over="ignore"):
-        A = ridge_kernel(phi, config.lam)
+        if A is None:
+            A = ridge_kernel(phi, config.lam)
         fit = float(config.lam * np.sum(M * A))
         Ms = 0.5 * (M + M.T)
         d_phi = -2.0 * config.lam * (A @ (Ms @ (A @ phi)))

@@ -184,11 +184,12 @@ class TestBalanceCommand:
         cons = tmp_path / "cons.csv"
         self._diag_constraints(cons, n)
         out = tmp_path / "bal"
-        code = cli.main([
-            "balance", "--matrix", str(matrix), "--constraints", str(cons),
-            "--n-min", str(n / k), "--n-max", str(n / k), "--k", str(k),
-            "--iters", "200", "--out-dir", str(out),
-        ])
+        with pytest.warns(UserWarning, match="median"):
+            code = cli.main([
+                "balance", "--matrix", str(matrix), "--constraints", str(cons),
+                "--n-min", str(n / k), "--n-max", str(n / k), "--k", str(k),
+                "--iters", "200", "--out-dir", str(out),
+            ])
         capsys.readouterr()
         assert code == 0
         M = np.loadtxt(out / "balanced.csv", delimiter=",")
@@ -227,11 +228,12 @@ class TestBalanceCommand:
         lines = [f"{i},{i},1\n" for i in range(n)] + ["0,1,1\n"]
         cons.write_text("".join(lines))
         out = tmp_path / "bal"
-        code = cli.main([
-            "balance", "--matrix", str(matrix), "--constraints", str(cons),
-            "--n-min", "2", "--n-max", "2", "--k", "3",
-            "--out-dir", str(out),
-        ])
+        with pytest.warns(UserWarning, match="median"):
+            code = cli.main([
+                "balance", "--matrix", str(matrix), "--constraints", str(cons),
+                "--n-min", "2", "--n-max", "2", "--k", "3",
+                "--out-dir", str(out),
+            ])
         capsys.readouterr()
         assert code == 0
         M = np.loadtxt(out / "balanced.csv", delimiter=",")

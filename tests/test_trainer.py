@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import xsdc.trainer
+import xsdc.ulr
 from xsdc.data import make_blobs
 from xsdc.errors import AbortedRun, TrainingDiverged
+from xsdc.linalg import ridge_kernel
 from xsdc.trainer import (
     RunMetrics,
     TrainConfig,
@@ -113,6 +116,21 @@ def test_regime_reduction_bitwise():
     obj_semi = [r["objective"] for r in m_semi.records if r["split"] == "batch"]
     obj_sup = [r["objective"] for r in m_sup.records if r["split"] == "batch"]
     assert obj_semi == obj_sup
+
+
+def test_one_ridge_kernel_per_main_step(monkeypatch):
+    # the main loop builds A once for balancing and the step; only
+    # supervised_init leaves the kernel to ulr_step
+    calls = {}
+    for module in (xsdc.trainer, xsdc.ulr):
+        def counted(phi, lam, _name=module.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return ridge_kernel(phi, lam)
+
+        monkeypatch.setattr(module, "ridge_kernel", counted)
+    cfg = _small_config(supervised_init_iters=4, main_iters=6, eval_every=3)
+    train(_blobs(), cfg, mode="semi")
+    assert calls == {"xsdc.trainer": 6, "xsdc.ulr": 4}
 
 
 def test_semi_improves_over_init_baseline():

@@ -5,7 +5,7 @@ import pytest
 
 from xsdc.errors import TrainingDiverged
 from xsdc.features import NystromLayer, forward
-from xsdc.linalg import ridge_solve
+from xsdc.linalg import ridge_kernel, ridge_solve
 from xsdc.ulr import (
     UlrConfig,
     forward_objective,
@@ -186,6 +186,26 @@ class TestUlrStep:
                     fd[a, b] += sgn * val / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(out.grad_landmarks - fd) / denom) <= 1e-4
+
+    def test_given_kernel_matches_recomputed_bitwise(self):
+        X, layer, M = random_instance(12, n=10)
+        cfg = UlrConfig(lam=0.1, alpha=0.01, rho=0.02, learning_rate=0.05)
+        feats = forward(layer, X, normalize=True)
+        given = ulr_step(
+            layer, X, M, cfg, batch=feats, A=ridge_kernel(feats.phi, cfg.lam)
+        )
+        plain = ulr_step(layer, X, M, cfg)
+        assert np.array_equal(given.layer.landmarks, plain.layer.landmarks)
+        assert given.objective == plain.objective
+        assert given.fit_term == plain.fit_term
+        assert np.array_equal(given.grad_landmarks, plain.grad_landmarks)
+
+    def test_kernel_without_batch_rejected(self):
+        X, layer, M = random_instance(13)
+        cfg = UlrConfig(lam=0.1)
+        phi = forward(layer, X, normalize=True).phi
+        with pytest.raises(ValueError, match="batch"):
+            ulr_step(layer, X, M, cfg, A=ridge_kernel(phi, cfg.lam))
 
     def test_non_finite_gradient_raises(self):
         X, layer, _ = random_instance(11)
