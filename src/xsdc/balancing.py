@@ -9,7 +9,10 @@ weight mu, subject to
   * box constraints n_min <= row and column sums <= n_max.
 
 The alternating updates scale rows and columns like Sinkhorn-Knopp, with the
-known entries re-pinned every round and the scalings projected onto the box.
+scalings projected onto the box.  The kernel is exp(-Q_tilde) off the known
+set (the free kernel) and, on it, the pinned multipliers m_ij / (u_i v_j)
+frozen at the scalings that start each round, so the row pass meets every
+pinned entry at its value.  The returned M carries the pin values exactly.
 With no pinned entries and n_min = n_max the method reduces to classical
 Sinkhorn scaling.
 """
@@ -207,6 +210,21 @@ def _marginal_violation(M, n_min, n_max):
 def balance(problem, mu=None):
     """Run the alternating balancing rounds.
 
+    The kernel is the free kernel N_free, exp(-Q_tilde) with the pinned
+    entries zeroed, plus the pinned multipliers K_ij = m_ij / (u_i v_j) on
+    the pin list, with u, v the scalings that start the round:
+
+        row = N_free v + sum_j K_ij v_j      u <- box(row) / row
+        col = N_free^T u + sum_i K_ij u_i    v <- box(col) / col
+
+    so the column pass keeps the multipliers of the old u.  The dual at the
+    new (u, v) with the same K is u^T N_free v + sum K_ij u_i v_j, the box
+    terms in log u and log v, and the pinned-ones term sum(-Q_tilde - log K),
+    a constant of the problem minus the logs of the multipliers.  Each round
+    costs two products with N_free and sums over the pin list; no n x n
+    matrix is built and no n x n log is taken.  The returned M is
+    u_i exp(-Q_tilde_ij) v_j off the pins and the pin values on them.
+
     Parameters
     ----------
     problem : BalancingProblem
@@ -219,8 +237,9 @@ def balance(problem, mu=None):
 
     Raises
     ------
-    BalancingDivergence on non-finite scalings or a dual objective that
-    increases by more than 1e-6 for 3 consecutive rounds.
+    BalancingDivergence on non-finite scalings or pinned multipliers, or a
+    dual objective that is non-finite or increases by more than 1e-6 for 3
+    consecutive rounds.
     """
     n = problem.size
     if mu is None:
@@ -230,32 +249,38 @@ def balance(problem, mu=None):
         raise ValueError(f"mu must be positive, got {mu}")
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
 
-    mask, m_known = problem.pinned, problem.pin_values
-    ones_mask = mask & (m_known == 1.0)
+    pi, pj = np.nonzero(problem.pinned)
+    m = problem.pin_values[pi, pj]
+    ones = m == 1.0
+    oi, oj = pi[ones], pj[ones]
 
     with np.errstate(over="ignore", under="ignore"):
         Q_tilde = problem.A / mu - np.log(problem.prior())
-        N_off = np.exp(-Q_tilde)
-    if not np.all(np.isfinite(N_off)):
+        N_free = np.exp(-Q_tilde)
+    if not np.all(np.isfinite(N_free)):
         raise BalancingDivergence(
             f"exp overflow building the balancing kernel at mu={mu:.3e}",
             round_index=0,
         )
+    N_free[pi, pj] = 0.0
+    pin_cost = -float(Q_tilde[oi, oj].sum())
 
     u = np.ones(n)
     v = np.ones(n)
     trajectory = []
     increases = 0
-    N = N_off
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Nv = N_free @ v
         for t in range(int(problem.iters)):
-            N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
-            row = N @ v
+            # pinned multipliers, frozen at the scalings that start the round
+            K = m / (u[pi] * v[pj])
+            K1 = K[ones]
+            row = Nv + np.bincount(oi, K1 * v[oj], minlength=n)
             u = project_box(row, n_sigma, n_delta) / row
-            col = N.T @ u
+            col = N_free.T @ u + np.bincount(oj, K1 * u[oi], minlength=n)
             v = project_box(col, n_sigma, n_delta) / col
             if not (
-                np.all(np.isfinite(N))
+                np.all(np.isfinite(K))
                 and np.all(np.isfinite(u))
                 and np.all(np.isfinite(v))
             ):
@@ -263,9 +288,13 @@ def balance(problem, mu=None):
                     f"non-finite scalings at round {t} (mu={mu:.3e})",
                     round_index=t,
                 )
-            dual = _dual_objective(
-                N, u, v, Q_tilde, ones_mask, n_sigma, n_delta
-            )
+            Nv = N_free @ v  # also the next round's row product
+            log_u = np.log(u)
+            log_v = np.log(v)
+            dual = float(u @ Nv) + float(u[oi] @ (K1 * v[oj]))
+            dual += n_delta * (np.abs(log_u).sum() + np.abs(log_v).sum())
+            dual -= n_sigma * (log_u.sum() + log_v.sum())
+            dual += pin_cost - float(np.log(K1).sum())
             if not np.isfinite(dual):
                 raise BalancingDivergence(
                     f"non-finite dual objective at round {t} (mu={mu:.3e})",
@@ -283,13 +312,11 @@ def balance(problem, mu=None):
                 increases = 0
             trajectory.append(dual)
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # refresh the pinned multipliers against the final scalings so the
-        # known entries of M are exact even when the rounds have not converged
-        N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
-        M = u[:, None] * N * v[None, :]
+    with np.errstate(over="ignore"):
+        M = u[:, None] * N_free * v[None, :]
+    M[pi, pj] = m
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
-    known_violation = float(np.max(np.abs(M[mask] - m_known[mask]), initial=0.0))
+    known_violation = float(np.max(np.abs(M[pi, pj] - m), initial=0.0))
     return EquivalenceMatrix(
         M=M,
         u=u,
@@ -301,23 +328,6 @@ def balance(problem, mu=None):
         mu=mu,
         rounds=int(problem.iters),
     )
-
-
-def _dual_objective(N, u, v, Q_tilde, ones_mask, n_sigma, n_delta):
-    """Dual value at the current iterate.
-
-    Written in the scaling variables: a = -log u, c = -log v, and the pinned
-    multipliers recovered from the current kernel N on the m=1 entries.
-    Entries pinned to 0 contribute nothing.
-    """
-    log_u = np.log(u)
-    log_v = np.log(v)
-    value = float(u @ (N @ v))
-    value += n_delta * (np.abs(log_u).sum() + np.abs(log_v).sum())
-    value -= n_sigma * (log_u.sum() + log_v.sum())
-    if np.any(ones_mask):
-        value += float(np.sum((-Q_tilde - np.log(N))[ones_mask]))
-    return value
 
 
 def balance_doubling(problem, max_doublings=20):

@@ -10,7 +10,7 @@ error, 3 numeric failure.
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
@@ -57,13 +57,15 @@ def _atomic_write(path, text):
 
 
 def _write_csv_rows(path, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(
-            [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-        )
-    _atomic_write(path, buf.getvalue())
+    """Stream rows (any iterable) into path.tmp, then move it into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            writer.writerow(
+                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+            )
+    os.replace(tmp, path)
 
 
 def _jsonable(value):
@@ -152,10 +154,13 @@ def cmd_train(args):
         state.layer, state.classifier, config
     )
     _atomic_write(os.path.join(out_dir, "checkpoint.json"), checkpoint)
-    label_rows = [("row_index", "predicted_label", "source")] + [
-        (i, int(metrics.final_labels[i]), metrics.final_sources[i])
-        for i in range(dataset.n)
-    ]
+    label_rows = itertools.chain(
+        [("row_index", "predicted_label", "source")],
+        (
+            (i, int(metrics.final_labels[i]), metrics.final_sources[i])
+            for i in range(dataset.n)
+        ),
+    )
     _write_csv_rows(os.path.join(out_dir, "labels.csv"), label_rows)
     worst_constraint = (
         max(v for _, v in metrics.constraint_violations)

@@ -15,6 +15,9 @@ from .linalg import ridge_solve
 
 KMEANS_RESTARTS = 20
 KMEANS_ITERS = 100
+# unlabeled rows per distance block in nn_propagate; bounds its memory at
+# _PROPAGATE_BLOCK x |labeled| distances
+_PROPAGATE_BLOCK = 1024
 
 
 @dataclass
@@ -54,13 +57,16 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
     labels = np.full(n, -1, dtype=np.int64)
     labels[labeled_idx] = labels_S
     unlabeled = np.flatnonzero(labels < 0)
-    if unlabeled.size:
-        d = cdist(features_all[unlabeled], features_all[labeled_idx])
+    labeled_features = features_all[labeled_idx]
+    # each row's distances are computed alone, so blocking changes no label
+    for start in range(0, unlabeled.size, _PROPAGATE_BLOCK):
+        rows = unlabeled[start:start + _PROPAGATE_BLOCK]
+        d = cdist(features_all[rows], labeled_features)
         if k_neighbors == 1:
-            labels[unlabeled] = labels_S[np.argmin(d, axis=1)]
+            labels[rows] = labels_S[np.argmin(d, axis=1)]
         else:
             nearest = np.argsort(d, axis=1, kind="stable")[:, :k_neighbors]
-            for row, cols in zip(unlabeled, nearest):
+            for row, cols in zip(rows, nearest):
                 votes = np.bincount(labels_S[cols])
                 labels[row] = int(np.argmax(votes))
     return LabelAssignment(labels=labels, source="nearest_neighbor")

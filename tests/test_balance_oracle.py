@@ -1,0 +1,257 @@
+"""The balancing round against the dense round it replaced.
+
+`oracle_balance` and `oracle_dual_objective` are frozen copies of the former
+`balance`, which rebuilt the n x n kernel with the pinned multipliers every
+round and took the log of the whole kernel for the dual.  The current round
+is the same iteration in exact arithmetic, so results must agree to a
+relative 1e-12 (a few hundred float64 ulps; the measured gap is about 1e-14),
+and divergence must be raised at the same round with the same message.
+"""
+
+import numpy as np
+import pytest
+
+from xsdc.balancing import (
+    _DUAL_INCREASE_LIMIT,
+    _DUAL_INCREASE_TOL,
+    BalancingProblem,
+    _marginal_violation,
+    balance,
+    balance_doubling,
+    default_mu,
+    project_box,
+)
+from xsdc.errors import BalancingDivergence
+from xsdc.linalg import ridge_kernel
+
+RTOL = 1e-12
+
+
+def oracle_dual_objective(N, u, v, Q_tilde, ones_mask, n_sigma, n_delta):
+    log_u = np.log(u)
+    log_v = np.log(v)
+    value = float(u @ (N @ v))
+    value += n_delta * (np.abs(log_u).sum() + np.abs(log_v).sum())
+    value -= n_sigma * (log_u.sum() + log_v.sum())
+    if np.any(ones_mask):
+        value += float(np.sum((-Q_tilde - np.log(N))[ones_mask]))
+    return value
+
+
+def oracle_balance(problem, mu=None):
+    n = problem.size
+    if mu is None:
+        mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+    mu = float(mu)
+    n_sigma, n_delta = problem.n_sigma, problem.n_delta
+    mask, m_known = problem.pinned, problem.pin_values
+    ones_mask = mask & (m_known == 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        Q_tilde = problem.A / mu - np.log(problem.prior())
+        N_off = np.exp(-Q_tilde)
+    if not np.all(np.isfinite(N_off)):
+        raise BalancingDivergence(
+            f"exp overflow building the balancing kernel at mu={mu:.3e}",
+            round_index=0,
+        )
+    u = np.ones(n)
+    v = np.ones(n)
+    trajectory = []
+    increases = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(int(problem.iters)):
+            N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
+            row = N @ v
+            u = project_box(row, n_sigma, n_delta) / row
+            col = N.T @ u
+            v = project_box(col, n_sigma, n_delta) / col
+            if not (
+                np.all(np.isfinite(N))
+                and np.all(np.isfinite(u))
+                and np.all(np.isfinite(v))
+            ):
+                raise BalancingDivergence(
+                    f"non-finite scalings at round {t} (mu={mu:.3e})",
+                    round_index=t,
+                )
+            dual = oracle_dual_objective(
+                N, u, v, Q_tilde, ones_mask, n_sigma, n_delta
+            )
+            if not np.isfinite(dual):
+                raise BalancingDivergence(
+                    f"non-finite dual objective at round {t} (mu={mu:.3e})",
+                    round_index=t,
+                )
+            if trajectory and dual > trajectory[-1] + _DUAL_INCREASE_TOL:
+                increases += 1
+                if increases >= _DUAL_INCREASE_LIMIT:
+                    raise BalancingDivergence(
+                        f"dual objective increased {increases} rounds in a row "
+                        f"(mu={mu:.3e})",
+                        round_index=t,
+                    )
+            else:
+                increases = 0
+            trajectory.append(dual)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
+        M = u[:, None] * N * v[None, :]
+    violation = _marginal_violation(M, problem.n_min, problem.n_max)
+    return dict(
+        M=M, u=u, v=v, converged=violation <= 1e-6 * n,
+        dual_trajectory=trajectory, mu=mu, rounds=int(problem.iters),
+    )
+
+
+def oracle_balance_doubling(problem, max_doublings=20):
+    mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+    attempt = 0
+    while True:
+        try:
+            return oracle_balance(problem, mu=mu)
+        except BalancingDivergence:
+            attempt += 1
+            if attempt > max_doublings:
+                raise
+            mu *= 2.0
+
+
+def _outcome(fn, problem, **kwargs):
+    try:
+        return fn(problem, **kwargs), None
+    except BalancingDivergence as exc:
+        return None, (exc.round_index, str(exc))
+
+
+def assert_matches_oracle(problem, mu=None):
+    """Compare one balance call with the oracle; return the oracle's error."""
+    expected, expected_error = _outcome(oracle_balance, problem, mu=mu)
+    result, error = _outcome(balance, problem, mu=mu)
+    assert error == expected_error
+    if expected_error is not None:
+        return expected_error
+    assert result.rounds == expected["rounds"]
+    assert result.converged == expected["converged"]
+    assert result.mu == expected["mu"]
+    np.testing.assert_allclose(result.u, expected["u"], rtol=RTOL, atol=0)
+    np.testing.assert_allclose(result.v, expected["v"], rtol=RTOL, atol=0)
+    # pinned entries are written as their values; the oracle re-derived them
+    # as u_i (m_ij / (u_i v_j)) v_j, which is inf when u_i v_j underflows
+    pinned = problem.pinned
+    assert np.array_equal(result.M[pinned], problem.pin_values[pinned])
+    free, expected_free = result.M[~pinned], expected["M"][~pinned]
+    scale = np.max(np.abs(expected_free[np.isfinite(expected_free)]), initial=0.0)
+    np.testing.assert_allclose(free, expected_free, rtol=RTOL, atol=RTOL * scale)
+    # the dual is a sum of terms of both signs; measure it against its terms
+    dual = np.asarray(expected["dual_trajectory"])
+    dual_scale = max(1.0, float(np.max(np.abs(dual), initial=0.0)))
+    np.testing.assert_allclose(
+        result.dual_trajectory, dual, rtol=RTOL, atol=RTOL * dual_scale
+    )
+    return None
+
+
+def _diagonal(n):
+    return [(i, i, 1) for i in range(n)]
+
+
+def _agreement_pins(labels):
+    labels = np.asarray(labels)
+    i, j = np.nonzero((labels[:, None] >= 0) & (labels[None, :] >= 0))
+    m = (labels[i] == labels[j]).astype(float)
+    return _diagonal(labels.size) + list(zip(i.tolist(), j.tolist(), m.tolist()))
+
+
+def _blob_cost(rng, n, k, p=4, lam=0.1):
+    labels = rng.integers(0, k, size=n)
+    phi = rng.normal(size=(n, p)) + 3.0 * np.eye(k, p)[labels]
+    return ridge_kernel(phi, lam), labels
+
+
+def _named_problems():
+    rng = np.random.default_rng(20)
+    n, k = 24, 3
+    A, labels = _blob_cost(rng, n, k)
+    partial = np.where(rng.random(n) < 0.4, labels, -1)
+    must_not_link = [
+        (a, b, 0) for a in range(n) for b in range(n) if labels[a] != labels[b]
+    ]
+    prior = rng.uniform(0.05, 1.0, size=(n, n))
+    return {
+        "diagonal_only": BalancingProblem(A, _diagonal(n), 6.0, 10.0, iters=40),
+        "labeled_block": BalancingProblem(
+            A, _agreement_pins(partial), 6.0, 10.0, iters=40, num_clusters=k
+        ),
+        "many_must_not_link": BalancingProblem(
+            A, _diagonal(n) + must_not_link, 8.0, 8.0, iters=40, num_clusters=k
+        ),
+        "pure_transport": BalancingProblem(
+            rng.uniform(-1.0, 1.0, size=(n, n)), [], 4.0, 4.0, iters=40
+        ),
+        "given_prior": BalancingProblem(
+            A, _agreement_pins(partial), 6.0, 10.0, iters=40, M0=prior
+        ),
+        "n_min_zero": BalancingProblem(A, _agreement_pins(partial), 0.0, 12.0, iters=40),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_named_problems()))
+def test_named_problem_matches_oracle(name):
+    problem = _named_problems()[name]
+    assert assert_matches_oracle(problem) is None
+    for mu in (0.05, 0.5, 5.0):
+        assert_matches_oracle(problem, mu=mu)
+
+
+def _fuzz_problem(rng):
+    n = int(rng.integers(3, 30))
+    k = int(rng.integers(2, 5))
+    A, labels = _blob_cost(rng, n, k, lam=float(rng.choice([0.01, 0.1, 1.0])))
+    kind = rng.integers(4)
+    if kind == 0:
+        known = []
+    elif kind == 1:
+        known = _diagonal(n)
+    else:
+        known = _agreement_pins(np.where(rng.random(n) < rng.random(), labels, -1))
+        pairs = [
+            (a, b, 0) for a in range(n) for b in range(n)
+            if labels[a] != labels[b] and rng.random() < 0.3
+        ]
+        known += pairs + [(b, a, 0) for a, b, _ in pairs]
+    n_sigma = n / k * float(rng.uniform(0.5, 1.5))
+    n_delta = n_sigma * float(rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]))
+    M0 = rng.uniform(0.01, 1.0, size=(n, n)) if rng.random() < 0.2 else None
+    if rng.random() < 0.3:
+        # kernel entries up to exp(709.7), next to overflow: row sums and
+        # scalings overflow in later rounds
+        mu = float(-A.min() / rng.uniform(700.0, 709.7))
+    else:
+        mu = float(10.0 ** rng.uniform(-3.0, 1.0))
+    return BalancingProblem(
+        A, known, n_sigma - n_delta, n_sigma + n_delta,
+        mu=mu,
+        iters=int(rng.integers(1, 200)),
+        M0=M0,
+        num_clusters=k if rng.random() < 0.5 else None,
+    )
+
+
+def test_fuzz_matches_oracle():
+    rng = np.random.default_rng(5)
+    in_rounds = 0
+    for _ in range(320):
+        problem = _fuzz_problem(rng)
+        error = assert_matches_oracle(problem)
+        if error is not None:
+            in_rounds += error[0] > 0
+            expected, expected_error = _outcome(
+                oracle_balance_doubling, problem, max_doublings=6
+            )
+            result, error = _outcome(balance_doubling, problem, max_doublings=6)
+            assert error == expected_error
+            if expected is not None:
+                assert result.mu == expected["mu"]
+    # the fuzz must reach divergence inside the rounds, not only the
+    # kernel overflow check that precedes them
+    assert in_rounds >= 15

@@ -161,12 +161,12 @@ class TestBalance:
         )
         result = balance(problem)
         M = result.M
-        assert result.known_violation <= 1e-6
+        assert result.known_violation == 0.0
         for i in range(6):
             for j in range(6):
                 if labels[i] != labels[j]:
                     assert M[i, j] == 0.0  # pinned zeros are exact
-        assert np.allclose(np.diag(M), 1.0, atol=1e-6)
+        assert np.array_equal(np.diag(M), np.ones(6))
 
     def test_dual_descent_monotone(self):
         rng = np.random.default_rng(2)

@@ -4,6 +4,8 @@ Everything drives cli.main(argv) in-process so exit codes and the stderr
 event stream can be asserted directly.
 """
 
+import csv
+import io
 import json
 import os
 
@@ -200,7 +202,7 @@ class TestBalanceCommand:
         expected = (n / k - 1.0) / (n - 1.0)
         assert np.allclose(off, expected, atol=1e-6)
         report = json.loads((out / "balance_report.json").read_text())
-        assert report["known_violation"] <= 1e-12
+        assert report["known_violation"] == 0.0
         assert report["marginal_violation"] <= 1e-6
 
     def test_asymmetric_pair_rejected(self, tmp_path, capsys):
@@ -394,6 +396,74 @@ class TestVerificationCommands:
             if len(parts) >= 2 and parts[0].endswith("_bound"):
                 bounds[parts[0]] = float(parts[1])
         assert bounds["forward_gradient_bound"] == bounds["reverse_gradient_bound"]
+
+
+def _stringio_csv_text(rows):
+    """The CSV text of the former writer, which built it in a StringIO."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+class TestCsvArtifacts:
+    def _assert_same_as_stringio(self, tmp_path, path, rows):
+        reference = tmp_path / "reference.csv"
+        cli._atomic_write(str(reference), _stringio_csv_text(rows))
+        assert open(path, "rb").read() == reference.read_bytes()
+        assert not os.path.exists(f"{path}.tmp")
+
+    def test_awkward_cells(self, tmp_path):
+        rows = [
+            ("a,b", 'say "x"', "two\nlines", ""),
+            (0.1, 1e-300, float("inf"), -0.0),
+            (np.int64(7), 3, True, None),
+        ]
+        path = tmp_path / "rows.csv"
+        cli._write_csv_rows(str(path), iter(rows))
+        self._assert_same_as_stringio(tmp_path, path, rows)
+
+    def test_every_command_writes_stringio_bytes(self, tmp_path, capsys, monkeypatch):
+        written = []
+        stream = cli._write_csv_rows
+
+        def recording(path, rows):
+            rows = list(rows)
+            stream(path, iter(rows))
+            written.append((path, rows))
+
+        monkeypatch.setattr(cli, "_write_csv_rows", recording)
+        config = tmp_path / "config.json"
+        _write_config(config, tmp_path / "out")
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"lam": [1e-4, 1e-3]}))
+        matrix = tmp_path / "A.csv"
+        np.savetxt(matrix, np.random.default_rng(0).normal(size=(8, 8)), delimiter=",")
+        cons = tmp_path / "cons.csv"
+        cons.write_text("".join(f"{i},{i},1\n" for i in range(8)) + "0,1,0\n")
+        truth = tmp_path / "truth.csv"
+        np.savetxt(truth, np.arange(8) % 2, delimiter=",", fmt="%d")
+        commands = [
+            ["train", "--config", str(config)],
+            ["sweep", "--config", str(config), "--grids", str(grids),
+             "--out-dir", str(tmp_path / "swp")],
+            ["balance", "--matrix", str(matrix), "--constraints", str(cons),
+             "--n-min", "3", "--n-max", "5", "--k", "2",
+             "--out-dir", str(tmp_path / "bal")],
+            ["cluster", "--matrix", str(tmp_path / "bal" / "balanced.csv"),
+             "--k", "2", "--truth", str(truth), "--out-dir", str(tmp_path / "clu")],
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        names = sorted(os.path.basename(path) for path, _ in written)
+        assert names == [
+            "balanced.csv", "cluster_labels.csv", "labels.csv", "metrics.csv",
+            "sweep.csv",
+        ]
+        for path, rows in written:
+            self._assert_same_as_stringio(tmp_path, path, rows)
 
 
 class TestEventStream:

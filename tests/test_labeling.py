@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from xsdc.labeling import (
+    _PROPAGATE_BLOCK,
     LabelAssignment,
     fit_final_classifier,
     hungarian_match,
@@ -63,6 +65,27 @@ def test_propagate_vote_tie_prefers_lowest_label():
     X = np.array([[0.0], [2.0], [1.0]])
     out = nn_propagate(X, [0, 1], [4, 1], k_neighbors=2)
     assert out.labels[2] == 1
+
+
+def test_propagate_blocks_match_unblocked():
+    # integer grid points: many exactly equal distances, across three blocks
+    rng = np.random.default_rng(3)
+    n = 2 * _PROPAGATE_BLOCK + 300
+    X = rng.integers(0, 3, size=(n, 2)).astype(float)
+    idx = rng.choice(n, size=40, replace=False)
+    lab = rng.integers(0, 4, size=40)
+    order = np.argsort(idx, kind="stable")
+    unlabeled = np.setdiff1d(np.arange(n), idx)
+    d = cdist(X[unlabeled], X[idx[order]])
+    for k in (1, 3):
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        expected = np.full(n, -1)
+        expected[idx] = lab
+        expected[unlabeled] = [
+            np.argmax(np.bincount(lab[order][cols])) for cols in nearest
+        ]
+        out = nn_propagate(X, idx, lab, k_neighbors=k)
+        assert np.array_equal(out.labels, expected)
 
 
 def test_propagate_validation():
