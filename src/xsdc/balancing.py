@@ -39,7 +39,7 @@ def default_mu(A):
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0:
         raise ValueError("A is empty")
-    med = float(np.median(np.abs(A)))
+    med = float(np.median(np.abs(A), overwrite_input=True))
     if med <= 0.0:
         warnings.warn("median |A| is zero; falling back to mu = 1.0")
         return 1.0
@@ -114,7 +114,7 @@ class BalancingProblem:
     mu : entropy weight; None means default_mu(A)
     iters : alternating rounds
     M0 : prior matrix; None means the constant 1/k when num_clusters is
-        given, and the constant n_sigma/n otherwise
+        given, and the constant n_sigma/n otherwise (see prior)
     num_clusters : optional cluster count, used only for the default prior
     """
 
@@ -169,14 +169,12 @@ class BalancingProblem:
         return 0.5 * (self.n_max - self.n_min)
 
     def prior(self):
+        """M0, or the constant default prior as a scalar (no (n, n) fill)."""
         if self.M0 is not None:
             return self.M0
-        n = self.size
         if self.num_clusters is not None:
-            fill = 1.0 / self.num_clusters
-        else:
-            fill = self.n_sigma / n
-        return np.full((n, n), fill)
+            return 1.0 / self.num_clusters
+        return self.n_sigma / self.size
 
 
 @dataclass
@@ -256,14 +254,16 @@ def balance(problem, mu=None):
 
     with np.errstate(over="ignore", under="ignore"):
         Q_tilde = problem.A / mu - np.log(problem.prior())
-        N_free = np.exp(-Q_tilde)
+        Q_ones = Q_tilde[oi, oj]
+        # N_free = exp(-Q_tilde), taken in the buffer of Q_tilde
+        N_free = np.exp(np.negative(Q_tilde, out=Q_tilde), out=Q_tilde)
     if not np.all(np.isfinite(N_free)):
         raise BalancingDivergence(
             f"exp overflow building the balancing kernel at mu={mu:.3e}",
             round_index=0,
         )
     N_free[pi, pj] = 0.0
-    pin_cost = -float(Q_tilde[oi, oj].sum())
+    pin_cost = -float(Q_ones.sum())
 
     u = np.ones(n)
     v = np.ones(n)

@@ -9,7 +9,8 @@ where M is a label-agreement (equivalence) matrix.  This module provides the
 objective, its analytic gradients, the regularizer, a single gradient step on
 the landmarks, the reverse (projection residual) objective used for
 comparison, and the closed-form Lipschitz/smoothness bounds of both
-objectives.
+objectives.  One helper gives the objective and its gradient; for a fully
+labeled batch a second one works from the (p, p) ridge factor alone.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import TrainingDiverged
 from .features import backward, forward
-from .linalg import ridge_kernel
+from .linalg import _ridge_factor, ridge_kernel
 
 __all__ = [
     "UlrConfig",
@@ -27,6 +28,7 @@ __all__ = [
     "grad_phi",
     "regularizer",
     "ulr_step",
+    "labeled_ulr_step",
     "reverse_objective",
     "reverse_objective_grad",
     "lipschitz_bounds",
@@ -64,6 +66,37 @@ def _check_pair(phi, M):
     return phi, M
 
 
+def _objective(phi, M, lam, A=None, grad=True):
+    """(lam <M, A>, its gradient -2 lam A Ms A phi or None), A = A(phi).
+
+    Ms = (M + M^T) / 2 is applied as two products, not built, and
+    A phi = phi_c G^{-1} comes from the ridge factor.
+    """
+    if A is None:
+        A = ridge_kernel(phi, lam)
+    fit = lam * float(np.vdot(M, A))
+    if not grad:
+        return fit, None
+    phi_c, R = _ridge_factor(phi, lam)
+    A_phi = (phi_c @ R) @ R.T
+    Ms_A_phi = 0.5 * (M @ A_phi + M.T @ A_phi)
+    return fit, -2.0 * lam * (A @ Ms_A_phi)
+
+
+def _labeled_objective(phi, labels, lam):
+    """_objective for M = Y Y^T, Y one-hot, with no (n, n) array: with
+    W = phi_c R, A Y = (Y_c - W W^T Y) / (n lam) and A phi = W R^T.
+    """
+    n = phi.shape[0]
+    Y = (labels[:, None] == np.unique(labels)).astype(np.float64)
+    phi_c, R = _ridge_factor(phi, lam)
+    W = phi_c @ R
+    A_Y = Y - Y.mean(axis=0) - W @ (W.T @ Y)
+    A_Y /= n * lam
+    fit = lam * float(np.vdot(Y, A_Y))
+    return fit, -2.0 * lam * (A_Y @ (Y.T @ (W @ R.T)))
+
+
 def forward_objective(phi, M, lam):
     """lam * tr(M A(phi)) for an agreement matrix M.
 
@@ -72,8 +105,7 @@ def forward_objective(phi, M, lam):
     drop-in training objective for the features.
     """
     phi, M = _check_pair(phi, M)
-    A = ridge_kernel(phi, lam)
-    return float(lam * np.sum(M * A))
+    return _objective(phi, M, lam, grad=False)[0]
 
 
 def grad_phi(phi, M, lam):
@@ -83,9 +115,7 @@ def grad_phi(phi, M, lam):
     the fact that tr(M A) depends only on that part.
     """
     phi, M = _check_pair(phi, M)
-    A = ridge_kernel(phi, lam)
-    Ms = 0.5 * (M + M.T)
-    return -2.0 * lam * (A @ (Ms @ (A @ phi)))
+    return _objective(phi, M, lam)[1]
 
 
 def regularizer(landmarks, phi, alpha, rho):
@@ -134,15 +164,31 @@ def ulr_step(layer, X, M, config, batch=None, A=None):
         batch = forward(layer, X, normalize=True)
     phi, M = _check_pair(batch.phi, M)
     with np.errstate(invalid="ignore", over="ignore"):
-        if A is None:
-            A = ridge_kernel(phi, config.lam)
-        fit = float(config.lam * np.sum(M * A))
-        Ms = 0.5 * (M + M.T)
-        d_phi = -2.0 * config.lam * (A @ (Ms @ (A @ phi)))
-        reg_value, reg_d_phi, reg_d_V = regularizer(
-            layer.landmarks, phi, config.alpha, config.rho
-        )
-        d_V = backward(batch, d_phi + reg_d_phi) + reg_d_V
+        fit, d_phi = _objective(phi, M, config.lam, A)
+        return _descend(layer, batch, config, fit, d_phi)
+
+
+def labeled_ulr_step(layer, X, labels, config, batch=None):
+    """ulr_step for M = Y Y^T, Y the one-hot matrix of the labels of X,
+    up to roundoff, computed from the ridge factor without building A or M.
+    """
+    if batch is None:
+        batch = forward(layer, X, normalize=True)
+    phi = batch.phi
+    labels = np.asarray(labels)
+    if labels.shape != (phi.shape[0],):
+        raise ValueError(f"labels must have shape ({phi.shape[0]},), got {labels.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        fit, d_phi = _labeled_objective(phi, labels, config.lam)
+        return _descend(layer, batch, config, fit, d_phi)
+
+
+def _descend(layer, batch, config, fit, d_phi):
+    """Add the regularizer, chain through the backward pass and step."""
+    reg_value, reg_d_phi, reg_d_V = regularizer(
+        layer.landmarks, batch.phi, config.alpha, config.rho
+    )
+    d_V = backward(batch, d_phi + reg_d_phi) + reg_d_V
     if not np.all(np.isfinite(d_V)):
         raise TrainingDiverged("non-finite landmark gradient")
     new_layer = layer.with_landmarks(

@@ -194,6 +194,20 @@ def test_constraints_held_every_iteration():
     assert max(v for _, v in metrics.constraint_violations) <= 1e-6
 
 
+def test_constraints_recorded_on_fully_labeled_batches():
+    # labeled batches step from the labels alone, yet still report their
+    # constraint pairs: held exactly, as a float that summary.json can take
+    ds = _blobs(label_fraction=1.0)
+    rows = ds.split_indices("train")
+    a, b = int(rows[0]), int(rows[1])
+    constraints = [(a, b, float(ds.labels[a] == ds.labels[b]))]
+    cfg = _small_config(batch_size=rows.size, main_iters=3, constraints=constraints)
+    _, metrics = train(ds, cfg, mode="supervised")
+    assert json.loads(json.dumps(metrics.constraint_violations)) == [
+        [it, 0.0] for it in range(10, 13)
+    ]
+
+
 def test_conflicting_constraint_rejected_up_front():
     ds = _blobs(label_fraction=1.0)
     train_rows = ds.split_indices("train")
