@@ -68,11 +68,8 @@ def _check_lam(lam):
 
 def _ridge_factor(phi, lam):
     """phi_c and R = L^{-T}, L L^T = G = phi_c^T phi_c + n lam I, so R R^T = G^{-1}.
-
-    numpy's LAPACK, not scipy's: scipy links a second OpenBLAS whose threads
-    contend with numpy's (an 8 x 8 triangular solve after a numpy product
-    took 4 ms on 2 cores).
-    """
+    numpy's LAPACK: scipy's links a second OpenBLAS whose threads contend with
+    numpy's (an 8 x 8 triangular solve after a numpy product took 4 ms)."""
     phi_c = phi - phi.mean(axis=0)
     G = phi_c.T @ phi_c + phi.shape[0] * lam * np.eye(phi.shape[1])
     return phi_c, np.linalg.inv(np.linalg.cholesky(G)).T

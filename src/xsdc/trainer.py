@@ -7,10 +7,9 @@ landmark gradient step on the closed-form ridge objective.  Both read the
 batch's ridge kernel A(phi), which the loop builds once per batch and hands
 to balancing and to the step alike.  _batch_known
 gives each batch's known entries as one array, which BalancingProblem
-validates into a pinned mask and values.  Fully labeled batches skip the
-kernel and balancing: their agreement matrix is determined by the labels, so
-the loop degenerates to plain supervised training on one code path,
-labeled_ulr_step, which builds no (n, n) array.
+validates into a pinned mask and values.  Fully labeled batches skip
+balancing: their agreement matrix is determined by the labels, so the loop
+degenerates to plain supervised training on the same code path.
 
 Three modes share the machinery.  "semi" mixes labeled and unlabeled rows
 per batch, "supervised" draws labeled rows only, "unsupervised" treats every
@@ -33,13 +32,13 @@ from .labeling import (
     spectral_cluster,
 )
 from .linalg import RidgeSolution, ridge_kernel
-from .ulr import UlrConfig, labeled_ulr_step, ulr_step
+from .ulr import UlrConfig, ulr_step
 
 MODES = ("semi", "supervised", "unsupervised")
 CHECKPOINT_VERSION = 1
 MAX_MU_DOUBLINGS = 20
 OBJECTIVE_CEILING = 1e12
-_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
 
 
 @dataclass
@@ -362,36 +361,33 @@ def _eval_rows(rows, config, stream):
 def _cluster_rows(layer, dataset, rows, config):
     """Balance the agreement matrix of the given rows and cluster it."""
     A = ridge_kernel(forward(layer, dataset.X[rows]).phi, config.ulr.lam)
-    known = _batch_known(np.full(rows.size, -1), _NO_PAIRS, np.empty(0))
+    known, _, _ = _batch_known(np.full(rows.size, -1), rows, _NO_CONSTRAINTS, dataset.n)
     result = _balance(A, known, config, dataset.k)
     return spectral_cluster(result.M, dataset.k, seed=config.seed).labels
 
 
-def _batch_pairs(rows, constraints, n):
-    """Batch positions (c, 2) and values of the (i, j, value) constraints
-    over n dataset rows whose two rows are both in the batch."""
-    position = np.full(n, -1)
-    position[rows] = np.arange(rows.size)
-    pos = position[constraints[:, :2]]
-    inside = np.all(pos >= 0, axis=1)
-    return pos[inside], constraints[inside, 2]
-
-
-def _batch_known(batch_labels, pairs, values):
+def _batch_known(batch_labels, rows, constraints, n):
     """Pinned entries of one batch as an (m, 3) array of (i, j, value) rows.
 
     Pins the diagonal, every pair of labeled rows to its label agreement and,
-    in both orientations, each constraint pair (batch positions) to its value.
+    in both orientations, each constraint whose two rows are in the batch;
+    constraints holds (i, j, value) int rows over a dataset of n rows.  Also
+    returns the batch positions (c, 2) and the values of those constraints.
     """
-    b = batch_labels.size
+    b = rows.size
     labeled = np.flatnonzero(batch_labels >= 0)
+    position = np.full(n, -1)
+    position[rows] = np.arange(b)
+    pos = position[constraints[:, :2]]
+    inside = np.all(pos >= 0, axis=1)
+    pos, values = pos[inside], constraints[inside, 2]
     diagonal = np.arange(b)
-    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pairs[:, 0], pairs[:, 1]])
-    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pairs[:, 1], pairs[:, 0]])
+    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pos[:, 0], pos[:, 1]])
+    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pos[:, 1], pos[:, 0]])
     m = np.concatenate(
         [np.ones(b), _agreement(batch_labels[labeled]).ravel(), values, values]
     )
-    return np.column_stack([i, j, m])
+    return np.column_stack([i, j, m]), pos, values
 
 
 def _checkpoint_doc(layer, classifier, config):
@@ -536,17 +532,13 @@ def train(dataset, config, mode="semi", listener=None):
             batch_labels[:] = -1
         try:
             feats = forward(state.layer, dataset.X[rows])
-            pairs, values = _batch_pairs(rows, constraints, dataset.n)
+            A = ridge_kernel(feats.phi, config.ulr.lam)
+            known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
             if np.all(batch_labels >= 0):
                 # labels pin every entry: balancing has nothing left to do
-                held = batch_labels[pairs[:, 0]] == batch_labels[pairs[:, 1]]
+                M = _agreement(batch_labels)
                 mu_used = marginal_violation = float("nan")
-                result = labeled_ulr_step(
-                    state.layer, dataset.X[rows], batch_labels, config.ulr, batch=feats
-                )
             else:
-                A = ridge_kernel(feats.phi, config.ulr.lam)
-                known = _batch_known(batch_labels, pairs, values)
                 try:
                     balanced = _balance(A, known, config, dataset.k)
                 except BalancingDivergence as err:
@@ -555,15 +547,13 @@ def train(dataset, config, mode="semi", listener=None):
                         iteration=state.iteration,
                         metrics=metrics,
                     ) from err
-                held = balanced.M[pairs[:, 0], pairs[:, 1]]
+                M = balanced.M
                 mu_used = balanced.mu
                 marginal_violation = balanced.marginal_violation
-                result = ulr_step(
-                    state.layer, dataset.X[rows], balanced.M, config.ulr, batch=feats, A=A
-                )
             if values.size:
-                worst = float(np.max(np.abs(held - values)))
+                worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
                 metrics.constraint_violations.append((state.iteration, worst))
+            result = ulr_step(state.layer, dataset.X[rows], M, config.ulr, batch=feats, A=A)
         except (ValueError, TrainingDiverged) as err:
             # mid-loop numeric collapse (degenerate features, overflow)
             raise TrainingDiverged(str(err), iteration=state.iteration) from err

@@ -9,8 +9,8 @@ where M is a label-agreement (equivalence) matrix.  This module provides the
 objective, its analytic gradients, the regularizer, a single gradient step on
 the landmarks, the reverse (projection residual) objective used for
 comparison, and the closed-form Lipschitz/smoothness bounds of both
-objectives.  One helper gives the objective and its gradient; for a fully
-labeled batch a second one works from the (p, p) ridge factor alone.
+objectives.  One helper gives the objective and its gradient to all three
+callers; given A, it builds no other (n, n) array.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import TrainingDiverged
 from .features import backward, forward
-from .linalg import _ridge_factor, ridge_kernel
+from .linalg import ridge_kernel
 
 __all__ = [
     "UlrConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "grad_phi",
     "regularizer",
     "ulr_step",
-    "labeled_ulr_step",
     "reverse_objective",
     "reverse_objective_grad",
     "lipschitz_bounds",
@@ -67,34 +66,17 @@ def _check_pair(phi, M):
 
 
 def _objective(phi, M, lam, A=None, grad=True):
-    """(lam <M, A>, its gradient -2 lam A Ms A phi or None), A = A(phi).
-
-    Ms = (M + M^T) / 2 is applied as two products, not built, and
-    A phi = phi_c G^{-1} comes from the ridge factor.
-    """
+    """(lam <M, A>, its gradient -2 lam A Ms A phi_c or None), A = A(phi).
+    Ms = (M + M^T) / 2 is applied as two products, not built; A phi = A phi_c
+    is exactly zero for constant features."""
     if A is None:
         A = ridge_kernel(phi, lam)
     fit = lam * float(np.vdot(M, A))
     if not grad:
         return fit, None
-    phi_c, R = _ridge_factor(phi, lam)
-    A_phi = (phi_c @ R) @ R.T
+    A_phi = A @ (phi - phi.mean(axis=0))
     Ms_A_phi = 0.5 * (M @ A_phi + M.T @ A_phi)
     return fit, -2.0 * lam * (A @ Ms_A_phi)
-
-
-def _labeled_objective(phi, labels, lam):
-    """_objective for M = Y Y^T, Y one-hot, with no (n, n) array: with
-    W = phi_c R, A Y = (Y_c - W W^T Y) / (n lam) and A phi = W R^T.
-    """
-    n = phi.shape[0]
-    Y = (labels[:, None] == np.unique(labels)).astype(np.float64)
-    phi_c, R = _ridge_factor(phi, lam)
-    W = phi_c @ R
-    A_Y = Y - Y.mean(axis=0) - W @ (W.T @ Y)
-    A_Y /= n * lam
-    fit = lam * float(np.vdot(Y, A_Y))
-    return fit, -2.0 * lam * (A_Y @ (Y.T @ (W @ R.T)))
 
 
 def forward_objective(phi, M, lam):
@@ -165,30 +147,10 @@ def ulr_step(layer, X, M, config, batch=None, A=None):
     phi, M = _check_pair(batch.phi, M)
     with np.errstate(invalid="ignore", over="ignore"):
         fit, d_phi = _objective(phi, M, config.lam, A)
-        return _descend(layer, batch, config, fit, d_phi)
-
-
-def labeled_ulr_step(layer, X, labels, config, batch=None):
-    """ulr_step for M = Y Y^T, Y the one-hot matrix of the labels of X,
-    up to roundoff, computed from the ridge factor without building A or M.
-    """
-    if batch is None:
-        batch = forward(layer, X, normalize=True)
-    phi = batch.phi
-    labels = np.asarray(labels)
-    if labels.shape != (phi.shape[0],):
-        raise ValueError(f"labels must have shape ({phi.shape[0]},), got {labels.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        fit, d_phi = _labeled_objective(phi, labels, config.lam)
-        return _descend(layer, batch, config, fit, d_phi)
-
-
-def _descend(layer, batch, config, fit, d_phi):
-    """Add the regularizer, chain through the backward pass and step."""
-    reg_value, reg_d_phi, reg_d_V = regularizer(
-        layer.landmarks, batch.phi, config.alpha, config.rho
-    )
-    d_V = backward(batch, d_phi + reg_d_phi) + reg_d_V
+        reg_value, reg_d_phi, reg_d_V = regularizer(
+            layer.landmarks, phi, config.alpha, config.rho
+        )
+        d_V = backward(batch, d_phi + reg_d_phi) + reg_d_V
     if not np.all(np.isfinite(d_V)):
         raise TrainingDiverged("non-finite landmark gradient")
     new_layer = layer.with_landmarks(

@@ -2,10 +2,13 @@
 
 `oracle_balance` and `oracle_dual_objective` are frozen copies of the former
 `balance`, which rebuilt the n x n kernel with the pinned multipliers every
-round and took the log of the whole kernel for the dual.  The current round
-is the same iteration in exact arithmetic, so results must agree to a
-relative 1e-12 (a few hundred float64 ulps; the measured gap is about 1e-14),
-and divergence must be raised at the same round with the same message.
+round and took the log of the whole kernel for the dual.  Its set-up is
+frozen too: the default prior as an n x n fill and `default_mu` as a plain
+median, so the scalar prior and the in-place median are checked as well.
+The current round is the same iteration in exact arithmetic, so results must
+agree to a relative 1e-12 (a few hundred float64 ulps; the measured gap is
+about 1e-14), and divergence must be raised at the same round with the same
+message.
 """
 
 import numpy as np
@@ -18,7 +21,6 @@ from xsdc.balancing import (
     _marginal_violation,
     balance,
     balance_doubling,
-    default_mu,
     project_box,
 )
 from xsdc.errors import BalancingDivergence
@@ -38,16 +40,30 @@ def oracle_dual_objective(N, u, v, Q_tilde, ones_mask, n_sigma, n_delta):
     return value
 
 
+def oracle_default_mu(A):
+    med = float(np.median(np.abs(A)))
+    return med if med > 0.0 else 1.0
+
+
+def oracle_prior(problem):
+    n = problem.size
+    if problem.M0 is not None:
+        return problem.M0
+    if problem.num_clusters is not None:
+        return np.full((n, n), 1.0 / problem.num_clusters)
+    return np.full((n, n), problem.n_sigma / n)
+
+
 def oracle_balance(problem, mu=None):
     n = problem.size
     if mu is None:
-        mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+        mu = problem.mu if problem.mu is not None else oracle_default_mu(problem.A)
     mu = float(mu)
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
     mask, m_known = problem.pinned, problem.pin_values
     ones_mask = mask & (m_known == 1.0)
     with np.errstate(over="ignore", under="ignore"):
-        Q_tilde = problem.A / mu - np.log(problem.prior())
+        Q_tilde = problem.A / mu - np.log(oracle_prior(problem))
         N_off = np.exp(-Q_tilde)
     if not np.all(np.isfinite(N_off)):
         raise BalancingDivergence(
@@ -104,7 +120,7 @@ def oracle_balance(problem, mu=None):
 
 
 def oracle_balance_doubling(problem, max_doublings=20):
-    mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+    mu = problem.mu if problem.mu is not None else oracle_default_mu(problem.A)
     attempt = 0
     while True:
         try:

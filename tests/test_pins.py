@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xsdc.balancing import BalancingProblem
-from xsdc.trainer import _batch_known, _batch_pairs
+from xsdc.trainer import _batch_known
 
 
 def oracle_normalize_known(known, n):
@@ -95,10 +95,9 @@ def test_batch_pins_match_triple_lists(label_share):
         rows = rng.choice(n, size=int(rng.integers(2, 40)), replace=False)
         batch_labels = labels[rows]
         old_known, old_pairs = oracle_batch_known(batch_labels, rows, constraints)
-        pos, values = _batch_pairs(
-            rows, np.array(constraints, dtype=np.int64).reshape(-1, 3), n
+        known, pos, values = _batch_known(
+            batch_labels, rows, np.array(constraints, dtype=np.int64).reshape(-1, 3), n
         )
-        known = _batch_known(batch_labels, pos, values)
         problem = BalancingProblem(np.zeros((rows.size,) * 2), known, 1.0, 1.0)
         mask, pin_values = oracle_arrays(old_known, rows.size)
         assert np.array_equal(problem.pinned, mask)

@@ -1,4 +1,4 @@
-"""The Woodbury ridge kernel and the factored objective against the dense code
+"""The Woodbury ridge kernel and the one objective helper against the dense code
 they replaced.
 
 The oracle functions are frozen copies of the former code: ridge_kernel as an
@@ -15,16 +15,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from xsdc.features import NystromLayer, forward
 from xsdc.linalg import ridge_kernel
-from xsdc.ulr import (
-    UlrConfig,
-    _labeled_objective,
-    forward_objective,
-    grad_phi,
-    labeled_ulr_step,
-    ulr_step,
-)
+from xsdc.ulr import forward_objective, grad_phi
 
 A_TOL = 1e-12
 FIT_TOL = 1e-10
@@ -105,9 +97,6 @@ def test_matches_dense_oracle(case):
     for M in (agree, noisy):
         _check_fit(forward_objective(phi, M, lam), oracle_fit(A_oracle, M, lam))
         _check_grad(grad_phi(phi, M, lam), oracle_grad(A_oracle, phi, M, lam))
-    fit, grad = _labeled_objective(phi, labels, lam)
-    _check_fit(fit, oracle_fit(A_oracle, agree, lam))
-    _check_grad(grad, oracle_grad(A_oracle, phi, agree, lam))
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1e-1, 10.0])
@@ -125,25 +114,4 @@ def test_constant_features(value, lam):
     agree = _agreement(labels)
     _check_fit(forward_objective(phi, agree, lam), oracle_fit(A_oracle, agree, lam))
     assert not grad_phi(phi, agree, lam).any()
-    fit, grad = _labeled_objective(phi, labels, lam)
-    _check_fit(fit, oracle_fit(A_oracle, agree, lam))
-    assert not grad.any()
 
-
-def test_labeled_step_matches_dense_step():
-    rng = np.random.default_rng(1)
-    n, d, p = 40, 3, 5
-    X = rng.normal(size=(n, d))
-    layer = NystromLayer(landmarks=rng.normal(size=(d, p)), sigma=1.5)
-    labels = rng.integers(0, 3, size=n)
-    cfg = UlrConfig(lam=0.05, alpha=0.01, rho=0.02, learning_rate=0.1)
-    dense = ulr_step(layer, X, _agreement(labels), cfg)
-    feats = forward(layer, X, normalize=True)
-    factored = labeled_ulr_step(layer, X, labels, cfg, batch=feats)
-    _check_fit(factored.fit_term, dense.fit_term)
-    _check_grad(factored.grad_landmarks, dense.grad_landmarks)
-    # an unsupplied batch is recomputed to the same bits
-    again = labeled_ulr_step(layer, X, labels, cfg)
-    assert np.array_equal(again.grad_landmarks, factored.grad_landmarks)
-    with pytest.raises(ValueError, match="labels must have shape"):
-        labeled_ulr_step(layer, X, labels[:-1], cfg)

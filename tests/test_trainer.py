@@ -195,7 +195,7 @@ def test_constraints_held_every_iteration():
 
 
 def test_constraints_recorded_on_fully_labeled_batches():
-    # labeled batches step from the labels alone, yet still report their
+    # fully labeled batches skip balancing, yet still report their
     # constraint pairs: held exactly, as a float that summary.json can take
     ds = _blobs(label_fraction=1.0)
     rows = ds.split_indices("train")
