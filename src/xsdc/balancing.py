@@ -53,8 +53,8 @@ def project_box(x, n_sigma, n_delta):
     return np.clip(x, n_sigma - n_delta, n_sigma + n_delta)
 
 
-def _pin_arrays(known, n):
-    """Validate (i, j, m) triples into an n x n pinned mask and pin values.
+def _pin_list(known, n):
+    """Validate (i, j, m) triples into the row-major pin list (rows, cols, values).
 
     The first offending triple in input order is reported; for that triple
     the checks run in the order listed below.
@@ -64,7 +64,7 @@ def _pin_arrays(known, n):
     m = known[:, 2]
     in_range = (0 <= i) & (i < n) & (0 <= j) & (j < n)
     # a triple conflicts when the first triple at its entry pins another value
-    _, first, inverse = np.unique(
+    keys, first, inverse = np.unique(
         np.where(in_range, i * n + j, -1), return_index=True, return_inverse=True
     )
     checks = (
@@ -78,23 +78,23 @@ def _pin_arrays(known, n):
         t = int(np.argmax(failed.any(axis=0)))
         message = checks[int(np.argmax(failed[:, t]))][1]
         raise ValueError(message.format(i=int(i[t]), j=int(j[t]), m=float(m[t]), n=n))
-    pinned = np.zeros((n, n), dtype=bool)
-    pinned[i, j] = True
-    values = np.zeros((n, n))
-    values[i, j] = m
-    # the first triple at an open entry is that entry's first appearance
-    open_entry = (pinned & ~(pinned.T & (values.T == values)))[i, j]
+    rows, cols = np.divmod(keys, n)
+    values = m[first]
+    # an entry is open when its mirror key is absent or pins another value
+    mirror = cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    open_entry = ((keys[at] != mirror) | (values[at] != values))[inverse]
     if open_entry.any():
         t = int(np.argmax(open_entry))
         raise ValueError(
             f"known set not closed under transposition at ({i[t]}, {j[t]})"
         )
-    missing = np.flatnonzero(~np.diagonal(pinned))
+    missing = np.setdiff1d(np.arange(n), rows[rows == cols])
     if m.size and missing.size:
         raise ValueError(
             f"diagonal entry ({missing[0]}, {missing[0]}) must be pinned to 1"
         )
-    return pinned, values
+    return rows, cols, values
 
 
 @dataclass
@@ -108,8 +108,8 @@ class BalancingProblem:
         or an (m, 3) array; must contain the full diagonal (i, i, 1) and be
         closed under transposition.  Duplicates are allowed when they agree.
         An empty list is the pure-transport mode used by the Sinkhorn tests.
-        Validation stores the pins as two (n, n) arrays: the boolean mask
-        pinned and the 0/1 pin_values (zero where nothing is pinned).
+        Validation stores them as pins = (rows, cols, values), each distinct
+        pinned entry once in row-major order; no (n, n) array is kept.
     n_min, n_max : bounds on every row and column sum
     mu : entropy weight; None means default_mu(A)
     iters : alternating rounds
@@ -126,8 +126,7 @@ class BalancingProblem:
     iters: int = 10
     M0: np.ndarray = None
     num_clusters: int = None
-    pinned: np.ndarray = field(init=False, repr=False)
-    pin_values: np.ndarray = field(init=False, repr=False)
+    pins: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
@@ -136,7 +135,7 @@ class BalancingProblem:
         if not np.all(np.isfinite(self.A)):
             raise ValueError("A has non-finite entries")
         n = self.A.shape[0]
-        self.pinned, self.pin_values = _pin_arrays(self.known, n)
+        self.pins = _pin_list(self.known, n)
         self.n_min = float(self.n_min)
         self.n_max = float(self.n_max)
         if not 0 <= self.n_min <= self.n_max:
@@ -220,8 +219,9 @@ def balance(problem, mu=None):
     terms in log u and log v, and the pinned-ones term sum(-Q_tilde - log K),
     a constant of the problem minus the logs of the multipliers.  Each round
     costs two products with N_free and sums over the pin list; no n x n
-    matrix is built and no n x n log is taken.  The returned M is
-    u_i exp(-Q_tilde_ij) v_j off the pins and the pin values on them.
+    matrix is built and no n x n log is taken.  The returned M, formed in
+    the buffer of N_free, is u_i exp(-Q_tilde_ij) v_j off the pins and the
+    pin values on them.
 
     Parameters
     ----------
@@ -247,8 +247,7 @@ def balance(problem, mu=None):
         raise ValueError(f"mu must be positive, got {mu}")
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
 
-    pi, pj = np.nonzero(problem.pinned)
-    m = problem.pin_values[pi, pj]
+    pi, pj, m = problem.pins
     ones = m == 1.0
     oi, oj = pi[ones], pj[ones]
 
@@ -313,7 +312,8 @@ def balance(problem, mu=None):
             trajectory.append(dual)
 
     with np.errstate(over="ignore"):
-        M = u[:, None] * N_free * v[None, :]
+        M = np.multiply(u[:, None], N_free, out=N_free)
+        M *= v
     M[pi, pj] = m
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
     known_violation = float(np.max(np.abs(M[pi, pj] - m), initial=0.0))

@@ -265,7 +265,10 @@ def cmd_cluster(args):
     assign = spectral_cluster(M, args.k, seed=args.seed)
     report = {"n": int(M.shape[0]), "k": int(args.k), "seed": int(args.seed)}
     if args.truth:
-        truth = np.loadtxt(args.truth, delimiter=",", ndmin=1).astype(np.int64)
+        truth = np.loadtxt(args.truth, delimiter=",", ndmin=1)
+        if not np.all(np.isfinite(truth) & (truth == np.round(truth))):
+            raise ValueError("truth labels must be integers")
+        truth = truth.astype(np.int64)
         if truth.shape != (M.shape[0],):
             raise ValueError("truth labels must match matrix rows")
         mask = truth >= 0

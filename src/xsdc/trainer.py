@@ -7,7 +7,7 @@ landmark gradient step on the closed-form ridge objective.  Both read the
 batch's ridge kernel A(phi), which the loop builds once per batch and hands
 to balancing and to the step alike.  _batch_known
 gives each batch's known entries as one array, which BalancingProblem
-validates into a pinned mask and values.  Fully labeled batches skip
+validates into a sorted pin list.  Fully labeled batches skip
 balancing: their agreement matrix is determined by the labels, so the loop
 degenerates to plain supervised training on the same code path.
 
@@ -103,6 +103,10 @@ class TrainConfig:
         seen = {}
         for triple in self.constraints:
             i, j, v = int(triple[0]), int(triple[1]), float(triple[2])
+            if (i, j) != (triple[0], triple[1]):
+                raise ValueError(
+                    f"constraint indices must be integers, got {tuple(triple)}"
+                )
             if i == j:
                 raise ValueError(f"constraint ({i}, {j}) must join distinct rows")
             if v not in (0.0, 1.0):

@@ -5,6 +5,8 @@
 round and took the log of the whole kernel for the dual.  Its set-up is
 frozen too: the default prior as an n x n fill and `default_mu` as a plain
 median, so the scalar prior and the in-place median are checked as well.
+The oracle takes its pin mask and values from `oracle_arrays` in
+`test_pins.py`, the frozen dict code, not from the pin list under test.
 The current round is the same iteration in exact arithmetic, so results must
 agree to a relative 1e-12 (a few hundred float64 ulps; the measured gap is
 about 1e-14), and divergence must be raised at the same round with the same
@@ -25,6 +27,8 @@ from xsdc.balancing import (
 )
 from xsdc.errors import BalancingDivergence
 from xsdc.linalg import ridge_kernel
+
+from test_pins import oracle_arrays
 
 RTOL = 1e-12
 
@@ -60,7 +64,7 @@ def oracle_balance(problem, mu=None):
         mu = problem.mu if problem.mu is not None else oracle_default_mu(problem.A)
     mu = float(mu)
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
-    mask, m_known = problem.pinned, problem.pin_values
+    mask, m_known = oracle_arrays(problem.known, n)
     ones_mask = mask & (m_known == 1.0)
     with np.errstate(over="ignore", under="ignore"):
         Q_tilde = problem.A / mu - np.log(oracle_prior(problem))
@@ -153,8 +157,8 @@ def assert_matches_oracle(problem, mu=None):
     np.testing.assert_allclose(result.v, expected["v"], rtol=RTOL, atol=0)
     # pinned entries are written as their values; the oracle re-derived them
     # as u_i (m_ij / (u_i v_j)) v_j, which is inf when u_i v_j underflows
-    pinned = problem.pinned
-    assert np.array_equal(result.M[pinned], problem.pin_values[pinned])
+    pinned, pin_values = oracle_arrays(problem.known, problem.size)
+    assert np.array_equal(result.M[pinned], pin_values[pinned])
     free, expected_free = result.M[~pinned], expected["M"][~pinned]
     scale = np.max(np.abs(expected_free[np.isfinite(expected_free)]), initial=0.0)
     np.testing.assert_allclose(free, expected_free, rtol=RTOL, atol=RTOL * scale)

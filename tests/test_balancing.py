@@ -108,9 +108,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"must be 0 or 1, got 0.5 at \(0, 1\)"):
             self.problem(np.zeros((2, 2)), known)
 
+    def test_one_sided_pin_past_every_key(self):
+        # the mirror key 2 of (0, 1) sorts past every pinned key
+        with pytest.raises(ValueError, match=r"not closed under transposition at \(0, 1\)"):
+            self.problem(np.zeros((2, 2)), [(0, 0, 1), (0, 1, 1)])
+
     def test_empty_known_is_pure_transport(self):
         problem = self.problem(np.zeros((3, 3)), [])
-        assert not problem.pinned.any()
+        assert all(part.size == 0 for part in problem.pins)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):

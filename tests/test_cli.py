@@ -303,6 +303,20 @@ class TestClusterCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["1.5", "nan"])
+    def test_truth_not_integer(self, tmp_path, capsys, bad):
+        matrix, _ = self._block_matrix(tmp_path)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(["0"] * 11 + [bad]) + "\n")
+        code = cli.main([
+            "cluster", "--matrix", str(matrix), "--k", "3",
+            "--truth", str(truth), "--out-dir", str(tmp_path / "c"),
+        ])
+        events = _events(capsys.readouterr().err)
+        assert code == 2
+        assert events[-1]["event"] == "error"
+        assert "integers" in events[-1]["message"]
+
 
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path, capsys):

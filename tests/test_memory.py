@@ -10,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 
+from xsdc.balancing import BalancingProblem, balance_doubling
 from xsdc.features import NystromLayer, forward
 from xsdc.linalg import ridge_kernel
+from xsdc.trainer import _batch_known
 from xsdc.ulr import UlrConfig, ulr_step
 
 B, P, D = 1024, 8, 10
@@ -49,3 +51,31 @@ def test_ulr_step_given_kernel_builds_no_square_array():
     config = UlrConfig(lam=LAM)
     peak = _peak_arrays(lambda: ulr_step(layer, X, M, config, batch=feats, A=A))
     assert peak < 0.2
+
+
+def _pinned_batch():
+    """A batch kernel and its pins: the diagonal and a labeled block."""
+    _, _, feats = _batch()
+    rng = np.random.default_rng(2)
+    labels = np.where(rng.random(B) < 0.1, rng.integers(0, 4, size=B), -1)
+    rows = np.arange(B)
+    known, _, _ = _batch_known(labels, rows, np.zeros((0, 3), dtype=np.int64), B)
+    return ridge_kernel(feats.phi, LAM), known
+
+
+def test_problem_keeps_no_square_pin_state():
+    # the pin list and the (n, n) bool finiteness check of A, 0.125
+    A, known = _pinned_batch()
+    peak = _peak_arrays(lambda: BalancingProblem(A, known, 200.0, 312.0, iters=5))
+    assert peak <= 0.25
+
+
+def test_balance_forms_M_in_the_kernel_buffer():
+    # the free kernel, which becomes M in place, and its finiteness check
+    A, known = _pinned_batch()
+
+    def call():
+        problem = BalancingProblem(A, known, 200.0, 312.0, iters=5, num_clusters=4)
+        return balance_doubling(problem)
+
+    assert _peak_arrays(call) <= 1.5

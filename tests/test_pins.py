@@ -1,9 +1,10 @@
-"""Pinned entries as a mask plus values, against the triple-list code they replaced.
+"""Pinned entries as one sorted pin list, against the triple-list code it replaced.
 
 The oracle functions are frozen copies of the former pin handling: the
 trainer's per-batch triple lists and the dict that BalancingProblem built
-from them.  The array forms must agree with them exactly, error messages
-included.
+from them.  The pin list (rows, cols, values) must hold exactly the entries
+of that dict in row-major order, the order np.nonzero lists a mask in, and
+validation must fail with the same messages.
 """
 
 import numpy as np
@@ -70,6 +71,14 @@ def oracle_arrays(known, n):
     return mask, values
 
 
+def assert_pins_match(problem, mask, values):
+    rows, cols = np.nonzero(mask)
+    pi, pj, m = problem.pins
+    assert np.array_equal(pi, rows)
+    assert np.array_equal(pj, cols)
+    assert np.array_equal(m, values[mask])
+
+
 def random_constraints(rng, truth, count):
     """Pairs consistent with truth, some in both orientations or repeated."""
     out = []
@@ -99,9 +108,7 @@ def test_batch_pins_match_triple_lists(label_share):
             batch_labels, rows, np.array(constraints, dtype=np.int64).reshape(-1, 3), n
         )
         problem = BalancingProblem(np.zeros((rows.size,) * 2), known, 1.0, 1.0)
-        mask, pin_values = oracle_arrays(old_known, rows.size)
-        assert np.array_equal(problem.pinned, mask)
-        assert np.array_equal(problem.pin_values, pin_values)
+        assert_pins_match(problem, *oracle_arrays(old_known, rows.size))
         pairs = [(int(i), int(j), float(v)) for (i, j), v in zip(pos, values)]
         assert pairs == old_pairs
 
@@ -161,7 +168,6 @@ def test_validation_matches_dict_code(form):
             outcomes.add(next(kind for kind in FAILURES if kind in str(err)))
             continue
         problem = BalancingProblem(np.zeros((n, n)), given, 1.0, 1.0)
-        assert np.array_equal(problem.pinned, expected[0])
-        assert np.array_equal(problem.pin_values, expected[1])
+        assert_pins_match(problem, *expected)
         outcomes.add("valid")
     assert outcomes == set(FAILURES) | {"valid"}

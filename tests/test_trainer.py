@@ -335,6 +335,8 @@ def test_train_config_validation():
         TrainConfig(constraints=[(1, 2, 0.5)])
     with pytest.raises(ValueError):
         TrainConfig(constraints=[(1, 2, 1.0), (2, 1, 0.0)])
+    with pytest.raises(ValueError, match="integers"):
+        TrainConfig.from_dict({"constraints": [[0.9, 2, 1]]})
 
 
 def test_train_mode_validation():
