@@ -28,18 +28,31 @@ from .errors import BalancingDivergence
 # divergence is declared after this many consecutive dual increases
 _DUAL_INCREASE_LIMIT = 3
 _DUAL_INCREASE_TOL = 1e-6
+# the rounds stop once every row and column sum of M is within this share of
+# n_max of the box [n_min, n_max]; 1e-6 * n (the converged flag) is too
+# loose for the 1e-6 absolute sums gate 04 asks at n = 64
+_STOP_TOL = 1e-9
 
 
 def default_mu(A):
     """Median absolute entry of A, the default entropy weight.
 
-    Falls back to 1.0 with a warning when the median is zero (all-zero or
-    mostly-zero A), since the weight must be positive.
+    Bitwise np.median(np.abs(A)), taken by one in-place selection: after a
+    partition at h = size // 2 the upper middle value sits at h and the
+    lower one is the maximum of the entries before it.  A NaN entry gives
+    NaN, as np.median does.  Falls back to 1.0 with a warning when the
+    median is zero (all-zero or mostly-zero A), since the weight must be
+    positive.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0:
         raise ValueError("A is empty")
-    med = float(np.median(np.abs(A), overwrite_input=True))
+    x = np.abs(A).ravel(order="K")
+    h = x.size // 2
+    x.partition(h)
+    if np.isnan(x.max()):
+        return float("nan")
+    med = float(x[h] if x.size % 2 else 0.5 * (x[:h].max() + x[h]))
     if med <= 0.0:
         warnings.warn("median |A| is zero; falling back to mu = 1.0")
         return 1.0
@@ -112,7 +125,8 @@ class BalancingProblem:
         pinned entry once in row-major order; no (n, n) array is kept.
     n_min, n_max : bounds on every row and column sum
     mu : entropy weight; None means default_mu(A)
-    iters : alternating rounds
+    iters : cap on the alternating rounds; balance stops earlier once the
+        marginals hold (see balance)
     M0 : prior matrix; None means the constant 1/k when num_clusters is
         given, and the constant n_sigma/n otherwise (see prior)
     num_clusters : optional cluster count, used only for the default prior
@@ -191,7 +205,11 @@ class EquivalenceMatrix:
     known_violation: float
     dual_trajectory: list
     mu: float
-    rounds: int
+    rounds: int  # rounds run, at most the problem's iters
+
+
+def _within(sums, lo, hi):
+    return bool(sums.min() >= lo and sums.max() <= hi)
 
 
 def _marginal_violation(M, n_min, n_max):
@@ -222,6 +240,15 @@ def balance(problem, mu=None):
     matrix is built and no n x n log is taken.  The returned M, formed in
     the buffer of N_free, is u_i exp(-Q_tilde_ij) v_j off the pins and the
     pin values on them.
+
+    The rounds stop once M at the current (u, v) has every row and column
+    sum within 1e-9 * n_max of [n_min, n_max]; problem.iters caps them.  The
+    test runs at the start of each round after the first and needs no extra
+    n x n product: the row sums are u * row, since the pinned terms
+    u_i K_ij v_j are the pin values, and the column sums are
+    v * (N_free^T u) plus the pinned ones per column, with N_free^T u kept
+    from the previous column pass.  A round with non-finite multipliers
+    never stops; it raises as below.
 
     Parameters
     ----------
@@ -263,6 +290,9 @@ def balance(problem, mu=None):
         )
     N_free[pi, pj] = 0.0
     pin_cost = -float(Q_ones.sum())
+    ones_per_col = np.bincount(oj, minlength=n)
+    lo = problem.n_min - _STOP_TOL * problem.n_max
+    hi = problem.n_max + _STOP_TOL * problem.n_max
 
     u = np.ones(n)
     v = np.ones(n)
@@ -273,13 +303,24 @@ def balance(problem, mu=None):
         for t in range(int(problem.iters)):
             # pinned multipliers, frozen at the scalings that start the round
             K = m / (u[pi] * v[pj])
+            K_finite = bool(np.all(np.isfinite(K)))
             K1 = K[ones]
             row = Nv + np.bincount(oi, K1 * v[oj], minlength=n)
+            # stop when M at (u, v) has its marginals; Ntu is N_free^T u of
+            # the previous column pass
+            if (
+                t
+                and K_finite
+                and _within(u * row, lo, hi)
+                and _within(v * Ntu + ones_per_col, lo, hi)
+            ):
+                break
             u = project_box(row, n_sigma, n_delta) / row
-            col = N_free.T @ u + np.bincount(oj, K1 * u[oi], minlength=n)
+            Ntu = N_free.T @ u
+            col = Ntu + np.bincount(oj, K1 * u[oi], minlength=n)
             v = project_box(col, n_sigma, n_delta) / col
             if not (
-                np.all(np.isfinite(K))
+                K_finite
                 and np.all(np.isfinite(u))
                 and np.all(np.isfinite(v))
             ):
@@ -326,7 +367,7 @@ def balance(problem, mu=None):
         known_violation=known_violation,
         dual_trajectory=trajectory,
         mu=mu,
-        rounds=int(problem.iters),
+        rounds=len(trajectory),
     )
 
 

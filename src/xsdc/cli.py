@@ -240,7 +240,7 @@ def cmd_balance(args):
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv_rows(
         os.path.join(args.out_dir, "balanced.csv"),
-        [[float(x) for x in row] for row in result.M],
+        (row.tolist() for row in result.M),
     )
     report = {
         "n": A.shape[0],
@@ -282,9 +282,10 @@ def cmd_cluster(args):
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv_rows(
         os.path.join(args.out_dir, "cluster_labels.csv"),
-        [("row_index", "label")] + [
-            (i, int(lab)) for i, lab in enumerate(assign.labels)
-        ],
+        itertools.chain(
+            [("row_index", "label")],
+            ((i, int(lab)) for i, lab in enumerate(assign.labels)),
+        ),
     )
     _atomic_write(
         os.path.join(args.out_dir, "cluster_report.json"),
@@ -382,7 +383,10 @@ def _build_parser():
     p_bal.add_argument("--n-min", type=float, required=True)
     p_bal.add_argument("--n-max", type=float, required=True)
     p_bal.add_argument("--mu", type=float, default=None)
-    p_bal.add_argument("--iters", type=int, default=10)
+    p_bal.add_argument("--iters", type=int, default=10,
+                       help="cap on the balancing rounds; they stop earlier "
+                       "once every row and column sum is within 1e-9*n_max "
+                       "of [n_min, n_max]")
     p_bal.add_argument("--k", type=int, default=None,
                        help="cluster count for the default prior")
     p_bal.add_argument("--out-dir", required=True)

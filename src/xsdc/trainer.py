@@ -48,6 +48,8 @@ class TrainConfig:
     labeled_batch_fraction, n_min_frac, n_max_frac, init_learning_rate and
     sigma default to None, meaning: derive from the data (twice the labeled
     share, 1/k, 1/k, the main learning rate, the median heuristic).
+    balance_iters caps the balancing rounds of a batch; a batch stops
+    earlier once its row and column sums hold (see balancing.balance).
     """
 
     num_landmarks: int = 64
@@ -159,7 +161,8 @@ class RunMetrics:
     """Per-iteration records plus the run-level summary.
 
     records rows are dicts with keys (iteration, split, accuracy, objective,
-    marginal_violation, mu); non-applicable fields hold NaN.
+    marginal_violation, mu, rounds); non-applicable fields hold NaN.  rounds
+    is the balancing rounds a batch ran, NaN for a fully labeled batch.
     """
 
     records: list = field(default_factory=list)
@@ -175,7 +178,7 @@ class RunMetrics:
 
     def record(self, iteration, split, accuracy=float("nan"),
                objective=float("nan"), marginal_violation=float("nan"),
-               mu=float("nan")):
+               mu=float("nan"), rounds=float("nan")):
         rec = dict(
             iteration=int(iteration),
             split=split,
@@ -183,6 +186,7 @@ class RunMetrics:
             objective=float(objective),
             marginal_violation=float(marginal_violation),
             mu=float(mu),
+            rounds=rounds,
         )
         self.records.append(rec)
         if self.listener is not None:
@@ -190,7 +194,7 @@ class RunMetrics:
 
     def to_rows(self):
         header = ("iteration", "split", "accuracy", "objective",
-                  "marginal_violation", "mu")
+                  "marginal_violation", "mu", "rounds")
         return [header] + [
             tuple(rec[name] for name in header) for rec in self.records
         ]
@@ -541,7 +545,7 @@ def train(dataset, config, mode="semi", listener=None):
             if np.all(batch_labels >= 0):
                 # labels pin every entry: balancing has nothing left to do
                 M = _agreement(batch_labels)
-                mu_used = marginal_violation = float("nan")
+                mu_used = marginal_violation = rounds = float("nan")
             else:
                 try:
                     balanced = _balance(A, known, config, dataset.k)
@@ -554,6 +558,7 @@ def train(dataset, config, mode="semi", listener=None):
                 M = balanced.M
                 mu_used = balanced.mu
                 marginal_violation = balanced.marginal_violation
+                rounds = balanced.rounds
             if values.size:
                 worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
                 metrics.constraint_violations.append((state.iteration, worst))
@@ -570,7 +575,7 @@ def train(dataset, config, mode="semi", listener=None):
         state.iteration += 1
         metrics.record(
             state.iteration, "batch", objective=result.objective,
-            marginal_violation=marginal_violation, mu=mu_used,
+            marginal_violation=marginal_violation, mu=mu_used, rounds=rounds,
         )
         if state.iteration % int(config.eval_every) == 0:
             _maybe_evaluate(state, dataset, metrics)

@@ -11,6 +11,14 @@ The current round is the same iteration in exact arithmetic, so results must
 agree to a relative 1e-12 (a few hundred float64 ulps; the measured gap is
 about 1e-14), and divergence must be raised at the same round with the same
 message.
+
+`balance` stops once the marginals hold, so the oracle, which has no stop,
+runs for the rounds `balance` reports.  A stop before the cap must come at
+the first round where every row and column sum of the oracle's M is within
+1e-9 * n_max of the box.  The stop changes one outcome by design: a problem
+that meets the marginals and then drifts until its scalings overflow now
+returns at the stop, where the full-cap oracle raises.  The fuzz counts those
+problems instead of comparing them (`KNOWN_STOPS_BEFORE_DRIFT`).
 """
 
 import numpy as np
@@ -19,6 +27,7 @@ import pytest
 from xsdc.balancing import (
     _DUAL_INCREASE_LIMIT,
     _DUAL_INCREASE_TOL,
+    _STOP_TOL,
     BalancingProblem,
     _marginal_violation,
     balance,
@@ -58,8 +67,9 @@ def oracle_prior(problem):
     return np.full((n, n), problem.n_sigma / n)
 
 
-def oracle_balance(problem, mu=None):
+def oracle_balance(problem, mu=None, iters=None):
     n = problem.size
+    iters = int(problem.iters if iters is None else iters)
     if mu is None:
         mu = problem.mu if problem.mu is not None else oracle_default_mu(problem.A)
     mu = float(mu)
@@ -79,7 +89,7 @@ def oracle_balance(problem, mu=None):
     trajectory = []
     increases = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(int(problem.iters)):
+        for t in range(iters):
             N = np.where(mask, m_known / (u[:, None] * v[None, :]), N_off)
             row = N @ v
             u = project_box(row, n_sigma, n_delta) / row
@@ -119,21 +129,8 @@ def oracle_balance(problem, mu=None):
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
     return dict(
         M=M, u=u, v=v, converged=violation <= 1e-6 * n,
-        dual_trajectory=trajectory, mu=mu, rounds=int(problem.iters),
+        dual_trajectory=trajectory, mu=mu, rounds=iters,
     )
-
-
-def oracle_balance_doubling(problem, max_doublings=20):
-    mu = problem.mu if problem.mu is not None else oracle_default_mu(problem.A)
-    attempt = 0
-    while True:
-        try:
-            return oracle_balance(problem, mu=mu)
-        except BalancingDivergence:
-            attempt += 1
-            if attempt > max_doublings:
-                raise
-            mu *= 2.0
 
 
 def _outcome(fn, problem, **kwargs):
@@ -143,14 +140,32 @@ def _outcome(fn, problem, **kwargs):
         return None, (exc.round_index, str(exc))
 
 
+def _stop_margin(M, problem):
+    """How far the sums of M are inside the stop rule's widened box (< 0: out)."""
+    tau = _STOP_TOL * problem.n_max
+    return tau - _marginal_violation(M, problem.n_min, problem.n_max)
+
+
 def assert_matches_oracle(problem, mu=None):
-    """Compare one balance call with the oracle; return the oracle's error."""
-    expected, expected_error = _outcome(oracle_balance, problem, mu=mu)
+    """Compare one balance call with the oracle; return balance's error.
+
+    A raising balance must raise as the full-cap oracle does; a returning one
+    must match the oracle run for the same rounds.
+    """
     result, error = _outcome(balance, problem, mu=mu)
-    assert error == expected_error
-    if expected_error is not None:
-        return expected_error
-    assert result.rounds == expected["rounds"]
+    if error is not None:
+        assert error == _outcome(oracle_balance, problem, mu=mu)[1]
+        return error
+    expected = oracle_balance(problem, mu=mu, iters=result.rounds)
+    assert 1 <= result.rounds <= problem.iters
+    if result.rounds < problem.iters:
+        # the stop rule holds at the stop and at no earlier round; the rule
+        # reads the sums another way, so allow RTOL * n_max either side
+        slack = RTOL * problem.n_max
+        assert _stop_margin(expected["M"], problem) >= -slack
+        if result.rounds > 1:
+            before = oracle_balance(problem, mu=mu, iters=result.rounds - 1)
+            assert _stop_margin(before["M"], problem) < slack
     assert result.converged == expected["converged"]
     assert result.mu == expected["mu"]
     np.testing.assert_allclose(result.u, expected["u"], rtol=RTOL, atol=0)
@@ -257,21 +272,64 @@ def _fuzz_problem(rng):
     )
 
 
-def test_fuzz_matches_oracle():
-    rng = np.random.default_rng(5)
+# fuzz problems (seed: indices) that stop on the marginals and that the
+# full-cap oracle, drifting on past the stop, fails with non-finite scalings
+KNOWN_STOPS_BEFORE_DRIFT = {101: [190]}
+
+
+def _run_fuzz(seed, count=320):
+    """Check count fuzz problems; return (divergences in the rounds, stops
+    before a drift the full-cap oracle fails on)."""
+    rng = np.random.default_rng(seed)
     in_rounds = 0
-    for _ in range(320):
+    stops_before_drift = []
+    for index in range(count):
         problem = _fuzz_problem(rng)
         error = assert_matches_oracle(problem)
         if error is not None:
             in_rounds += error[0] > 0
-            expected, expected_error = _outcome(
-                oracle_balance_doubling, problem, max_doublings=6
+            # each weight of the doubling ladder must match the oracle
+            mu = problem.mu
+            for _ in range(6):
+                mu *= 2.0
+                error = assert_matches_oracle(problem, mu=mu)
+                if error is None:
+                    break
+            result, doubling_error = _outcome(
+                balance_doubling, problem, max_doublings=6
             )
-            result, error = _outcome(balance_doubling, problem, max_doublings=6)
-            assert error == expected_error
-            if expected is not None:
-                assert result.mu == expected["mu"]
+            assert doubling_error == error
+            if error is None:
+                assert result.mu == mu
+        elif balance(problem).rounds < problem.iters:
+            if _outcome(oracle_balance, problem)[1] is not None:
+                stops_before_drift.append(index)
+    return in_rounds, stops_before_drift
+
+
+def test_fuzz_matches_oracle():
+    in_rounds, stops_before_drift = _run_fuzz(5)
     # the fuzz must reach divergence inside the rounds, not only the
     # kernel overflow check that precedes them
     assert in_rounds >= 15
+    assert stops_before_drift == KNOWN_STOPS_BEFORE_DRIFT.get(5, [])
+
+
+def test_fuzz_counts_stops_before_drift():
+    _, stops_before_drift = _run_fuzz(101)
+    assert stops_before_drift == KNOWN_STOPS_BEFORE_DRIFT[101]
+
+
+def test_stop_before_drift_returns_where_full_cap_raises():
+    """Seed 101, problem 190: the marginals hold at round 12 of 67; the
+    full-cap oracle goes on, its dual falling about 15 a round, until the
+    scalings overflow."""
+    rng = np.random.default_rng(101)
+    for _ in range(191):
+        problem = _fuzz_problem(rng)
+    result = balance(problem)
+    assert (result.rounds, problem.iters) == (12, 67)
+    assert result.marginal_violation <= _STOP_TOL * problem.n_max
+    _, error = _outcome(oracle_balance, problem)
+    assert error[0] == 63
+    assert error[1].startswith("non-finite scalings at round 63")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from xsdc.balancing import (
+    _STOP_TOL,
     BalancingProblem,
+    _marginal_violation,
     balance,
     balance_doubling,
     brute_force_assign,
@@ -50,6 +52,39 @@ class TestDefaultMu:
         A[0, 0] = 5.0  # median of |entries| still 0
         with pytest.warns(UserWarning):
             assert default_mu(A) == 1.0
+
+    def test_bitwise_median_fuzz(self):
+        """One selection gives np.median bitwise: odd and even sizes, ties,
+        +-inf, NaN, and the zero-median fallback with its warning."""
+        rng = np.random.default_rng(11)
+        fallbacks = 0
+        for trial in range(600):
+            shape = tuple(rng.integers(1, 24, size=2))
+            kind = trial % 5
+            if kind == 0:
+                A = rng.normal(size=shape)
+            elif kind == 1:  # ties
+                A = rng.integers(-3, 4, size=shape).astype(float)
+            elif kind == 2:
+                A = rng.normal(size=shape)
+                A.flat[rng.integers(0, A.size, size=3)] = rng.choice(
+                    [np.inf, -np.inf, 0.0], size=3
+                )
+            elif kind == 3:
+                A = rng.normal(size=shape)
+                A.flat[rng.integers(0, A.size)] = np.nan
+            else:  # mostly zero, often a zero median
+                A = rng.normal(size=shape) * (rng.random(shape) < 0.4)
+            expected = float(np.median(np.abs(A)))
+            if expected == 0.0:
+                fallbacks += 1
+                with pytest.warns(UserWarning):
+                    assert default_mu(A) == 1.0
+                continue
+            got = default_mu(A)
+            assert type(got) is float
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert fallbacks >= 20
 
 
 class TestProjectBox:
@@ -217,6 +252,30 @@ class TestBalance:
         result = balance(problem)
         assert not result.converged
         assert result.marginal_violation > 1e-6 * n
+
+    def test_early_stop_meets_the_marginals(self):
+        rng = np.random.default_rng(8)
+        n, k = 32, 4
+        A = rng.uniform(-1.0, 1.0, size=(n, n))
+        problem = BalancingProblem(
+            A, diagonal_known(n), 6.0, 10.0, iters=200, num_clusters=k
+        )
+        result = balance(problem)
+        assert result.rounds < problem.iters
+        assert len(result.dual_trajectory) == result.rounds
+        assert _marginal_violation(result.M, 6.0, 10.0) <= _STOP_TOL * 10.0
+
+    def test_rounds_report_the_cap_when_it_binds(self):
+        rng = np.random.default_rng(4)
+        n = 12
+        A = rng.uniform(-1, 1, size=(n, n)) * 50.0  # harsh cost
+        for iters in (1, 3):
+            problem = BalancingProblem(
+                A, diagonal_known(n), 3.0, 3.0, mu=0.5, iters=iters
+            )
+            result = balance(problem)
+            assert result.rounds == iters
+            assert result.marginal_violation > _STOP_TOL * 3.0
 
     def test_overflow_raises_and_doubling_recovers(self):
         rng = np.random.default_rng(5)

@@ -501,3 +501,19 @@ class TestEventStream:
         metric_events = [e for e in events if e["event"] == "metric"]
         csv_rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert len(metric_events) == len(csv_rows)
+
+    def test_batch_metric_events_carry_rounds(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        out = tmp_path / "out"
+        _write_config(config, out)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        metric_events = [
+            e for e in _events(capsys.readouterr().err) if e["event"] == "metric"
+        ]
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert header.split(",")[-1] == "rounds"
+        for event in metric_events:
+            if event["split"] == "batch":
+                assert isinstance(event["rounds"], int) and event["rounds"] >= 1
+            else:
+                assert event["rounds"] is None

@@ -86,6 +86,23 @@ def test_train_returns_metrics_rows():
     assert state.iteration == 30
 
 
+def test_batch_records_carry_balancing_rounds():
+    ds = _blobs()
+    cfg = _small_config()
+    _, metrics = train(ds, cfg, mode="semi")
+    assert metrics.to_rows()[0][-1] == "rounds"
+    rounds = [r["rounds"] for r in metrics.records if r["split"] == "batch"]
+    assert rounds and all(
+        isinstance(r, int) and 1 <= r <= cfg.balance_iters for r in rounds
+    )
+    others = [r["rounds"] for r in metrics.records if r["split"] != "batch"]
+    assert others and np.all(np.isnan(others))
+    # fully labeled batches run no balancing rounds
+    _, metrics = train(_blobs(label_fraction=1.0), cfg, mode="supervised")
+    rounds = [r["rounds"] for r in metrics.records if r["split"] == "batch"]
+    assert rounds and np.all(np.isnan(rounds))
+
+
 def test_best_checkpoint_tracks_max_val_accuracy():
     ds = _blobs()
     state, metrics = train(ds, _small_config(main_iters=30), mode="semi")
