@@ -12,7 +12,8 @@ The alternating updates scale rows and columns like Sinkhorn-Knopp, with the
 scalings projected onto the box.  The kernel is exp(-Q_tilde) off the known
 set (the free kernel) and, on it, the pinned multipliers m_ij / (u_i v_j)
 frozen at the scalings that start each round, so the row pass meets every
-pinned entry at its value.  The returned M carries the pin values exactly.
+pinned entry at its value.  A zero pin's multiplier is 0, so a round sums
+over the ones pins only.  The returned M carries the pin values exactly.
 With no pinned entries and n_min = n_max the method reduces to classical
 Sinkhorn scaling.
 """
@@ -93,11 +94,18 @@ def _pin_list(known, n):
         raise ValueError(message.format(i=int(i[t]), j=int(j[t]), m=float(m[t]), n=n))
     rows, cols = np.divmod(keys, n)
     values = m[first]
-    # an entry is open when its mirror key is absent or pins another value
-    mirror = cols * n + rows
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    open_entry = ((keys[at] != mirror) | (values[at] != values))[inverse]
-    if open_entry.any():
+    # the keys are distinct and row-major, so a stable sort by column lists
+    # the mirrors row-major; int16 keys take numpy's radix sort
+    order = np.argsort(cols.astype(np.int16) if n <= 32767 else cols, kind="stable")
+    if not (
+        np.array_equal(rows[order], cols)
+        and np.array_equal(cols[order], rows)
+        and np.array_equal(values[order], values)
+    ):
+        # an entry is open when its mirror key is absent or pins another value
+        mirror = cols * n + rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        open_entry = ((keys[at] != mirror) | (values[at] != values))[inverse]
         t = int(np.argmax(open_entry))
         raise ValueError(
             f"known set not closed under transposition at ({i[t]}, {j[t]})"
@@ -235,10 +243,13 @@ def balance(problem, mu=None):
     so the column pass keeps the multipliers of the old u.  The dual at the
     new (u, v) with the same K is u^T N_free v + sum K_ij u_i v_j, the box
     terms in log u and log v, and the pinned-ones term sum(-Q_tilde - log K),
-    a constant of the problem minus the logs of the multipliers.  Each round
-    costs two products with N_free and sums over the pin list; no n x n
-    matrix is built and no n x n log is taken.  The returned M, formed in
-    the buffer of N_free, is u_i exp(-Q_tilde_ij) v_j off the pins and the
+    a constant of the problem minus the logs of the multipliers.  A zero
+    pin's K_ij is 0, so a round is two products with N_free plus sums over
+    the ones pins; no n x n matrix is built and no n x n log is taken.  Zero
+    pins enter only N_free and the finiteness test: 0 / (u_i v_j) is NaN only
+    when u_i v_j underflows, which u.min() * v.min() > 0 rules out, u and v
+    being finite and nonnegative when a round starts.  The returned M, formed
+    in the buffer of N_free, is u_i exp(-Q_tilde_ij) v_j off the pins and the
     pin values on them.
 
     The rounds stop once M at the current (u, v) has every row and column
@@ -273,6 +284,7 @@ def balance(problem, mu=None):
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
+    box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta  # as project_box
 
     pi, pj, m = problem.pins
     ones = m == 1.0
@@ -296,16 +308,20 @@ def balance(problem, mu=None):
 
     u = np.ones(n)
     v = np.ones(n)
+    u1, v1 = u[oi], v[oj]  # the scalings at the ones pins
     trajectory = []
     increases = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Nv = N_free @ v
         for t in range(int(problem.iters)):
-            # pinned multipliers, frozen at the scalings that start the round
-            K = m / (u[pi] * v[pj])
-            K_finite = bool(np.all(np.isfinite(K)))
-            K1 = K[ones]
-            row = Nv + np.bincount(oi, K1 * v[oj], minlength=n)
+            # multipliers of the ones pins, frozen at the scalings that start
+            # the round; the zero pins' are taken only if u.min() * v.min()
+            # underflows (see the docstring)
+            K1 = 1.0 / (u1 * v1)
+            K_finite = bool(np.isfinite(K1.max(initial=0.0))) and bool(
+                u.min() * v.min() > 0.0 or np.all(np.isfinite(m / (u[pi] * v[pj])))
+            )
+            row = Nv + np.bincount(oi, K1 * v1, minlength=n)
             # stop when M at (u, v) has its marginals; Ntu is N_free^T u of
             # the previous column pass
             if (
@@ -315,23 +331,22 @@ def balance(problem, mu=None):
                 and _within(v * Ntu + ones_per_col, lo, hi)
             ):
                 break
-            u = project_box(row, n_sigma, n_delta) / row
+            u = row.clip(box_lo, box_hi) / row
+            u1 = u[oi]
             Ntu = N_free.T @ u
-            col = Ntu + np.bincount(oj, K1 * u[oi], minlength=n)
-            v = project_box(col, n_sigma, n_delta) / col
-            if not (
-                K_finite
-                and np.all(np.isfinite(u))
-                and np.all(np.isfinite(v))
-            ):
+            col = Ntu + np.bincount(oj, K1 * u1, minlength=n)
+            v = col.clip(box_lo, box_hi) / col
+            # every entry is >= 0 or NaN, and max propagates NaN
+            if not (K_finite and np.isfinite(u.max()) and np.isfinite(v.max())):
                 raise BalancingDivergence(
                     f"non-finite scalings at round {t} (mu={mu:.3e})",
                     round_index=t,
                 )
+            v1 = v[oj]
             Nv = N_free @ v  # also the next round's row product
             log_u = np.log(u)
             log_v = np.log(v)
-            dual = float(u @ Nv) + float(u[oi] @ (K1 * v[oj]))
+            dual = float(u @ Nv) + float(u1 @ (K1 * v1))
             dual += n_delta * (np.abs(log_u).sum() + np.abs(log_v).sum())
             dual -= n_sigma * (log_u.sum() + log_v.sum())
             dual += pin_cost - float(np.log(K1).sum())

@@ -333,3 +333,58 @@ def test_stop_before_drift_returns_where_full_cap_raises():
     _, error = _outcome(oracle_balance, problem)
     assert error[0] == 63
     assert error[1].startswith("non-finite scalings at round 63")
+
+
+def _underflow_problems():
+    """Two problems whose scalings drift until u_0 * v_2 underflows to 0.
+
+    With kernel entries up to exp(381.3), u_0 and v_2 shrink round after
+    round; at the start of round 630 their product rounds to 0 while no
+    ones pin's product does, and that is the first round at which the
+    marginals hold.  In the first problem (0, 2) is a zero pin, whose
+    multiplier 0 / (u_0 v_2) is then NaN.  In the second, (0, 2) and (2, 0)
+    are free entries with a zero kernel instead, which leaves every iterate
+    as it was: u.min() * v.min() underflows there, but no zero pin's
+    product does.
+    """
+    A = 381.3 * np.array([
+        [-0.25, -1.0, 0.0, -0.25, 0.25],
+        [0.5, 0.0, -0.25, 0.0, 0.25],
+        [0.5, 0.0, -0.5, 0.5, -0.5],
+        [0.5, 0.25, -1.0, 0.0, -1.0],
+        [0.0, 0.5, -1.0, 0.0, 0.5],
+    ])
+    zeros_34 = [(3, 4, 0), (4, 3, 0)]
+    pinned = BalancingProblem(
+        A, _diagonal(5) + [(0, 2, 0), (2, 0, 0)] + zeros_34, 0.0, 9.0,
+        mu=1.0, iters=1000,
+    )
+    A_free = A.copy()
+    A_free[0, 2] = A_free[2, 0] = 800.0  # exp(-800) is 0
+    free = BalancingProblem(
+        A_free, _diagonal(5) + zeros_34, 0.0, 9.0, mu=1.0, iters=1000
+    )
+    return pinned, free
+
+
+def test_zero_pin_underflow_raises_where_the_marginals_hold():
+    pinned, free = _underflow_problems()
+    # the free twin stops at round 630: the marginals hold there, at the
+    # scalings where u_0 * v_2 is 0 and every ones pin's product is not
+    twin = balance(free)
+    assert twin.rounds == 630
+    assert twin.u[0] * twin.v[2] == 0.0
+    assert np.all(twin.u * twin.v > 0.0)
+    # so the zero pin's NaN multiplier is what keeps the stop from firing
+    error = assert_matches_oracle(pinned)
+    assert error == (630, "non-finite scalings at round 630 (mu=1.000e+00)")
+
+
+def test_scaling_underflow_off_the_zero_pins_returns():
+    _, free = _underflow_problems()
+    result = balance(free)
+    assert result.u.min() * result.v.min() == 0.0
+    pi, pj, m = free.pins
+    zero = m == 0.0
+    assert np.all(result.u[pi[zero]] * result.v[pj[zero]] > 0.0)
+    assert assert_matches_oracle(free) is None

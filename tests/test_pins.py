@@ -10,7 +10,7 @@ validation must fail with the same messages.
 import numpy as np
 import pytest
 
-from xsdc.balancing import BalancingProblem
+from xsdc.balancing import BalancingProblem, _pin_list
 from xsdc.trainer import _batch_known
 
 
@@ -171,3 +171,21 @@ def test_validation_matches_dict_code(form):
         assert_pins_match(problem, *expected)
         outcomes.add("valid")
     assert outcomes == set(FAILURES) | {"valid"}
+
+
+def test_transposition_check_on_int64_columns():
+    """Above 32767 rows the column sort runs on the int64 columns."""
+    n = 40000
+    diagonal = [(i, i, 1.0) for i in range(n)]
+    pairs = [(5, n - 1, 0.0), (n - 1, 5, 0.0), (7, 9, 1.0), (9, 7, 1.0)]
+    rows, cols, values = _pin_list(diagonal + pairs, n)
+    entries = sorted(oracle_normalize_known(diagonal + pairs, n).items())
+    assert rows.tolist() == [i for (i, _), _ in entries]
+    assert cols.tolist() == [j for (_, j), _ in entries]
+    assert values.tolist() == [m for _, m in entries]
+    for known in (diagonal + pairs[:1] + pairs[2:], diagonal + pairs[:3] + [(9, 7, 0.0)]):
+        with pytest.raises(ValueError) as caught:
+            _pin_list(known, n)
+        with pytest.raises(ValueError) as expected:
+            oracle_normalize_known(known, n)
+        assert str(caught.value) == str(expected.value)
