@@ -74,14 +74,17 @@ def _pin_list(known, n):
     the checks run in the order listed below.
     """
     known = np.asarray(known, dtype=np.float64).reshape(-1, 3)
-    i, j = known[:, :2].astype(np.int64).T
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
+        i, j = known[:, :2].astype(np.int64).T
     m = known[:, 2]
-    in_range = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    whole = (i == known[:, 0]) & (j == known[:, 1])
+    in_range = whole & (0 <= i) & (i < n) & (0 <= j) & (j < n)
     # a triple conflicts when the first triple at its entry pins another value
     keys, first, inverse = np.unique(
         np.where(in_range, i * n + j, -1), return_index=True, return_inverse=True
     )
     checks = (
+        (~whole, "known entry ({i}, {j}) needs finite integer indices"),
         (~in_range, "known entry ({i}, {j}) out of range for n={n}"),
         ((m != 0.0) & (m != 1.0), "known value must be 0 or 1, got {m} at ({i}, {j})"),
         ((i == j) & (m == 0.0), "diagonal entry ({i}, {i}) pinned to 0 is infeasible"),
@@ -91,7 +94,8 @@ def _pin_list(known, n):
     if failed.any():
         t = int(np.argmax(failed.any(axis=0)))
         message = checks[int(np.argmax(failed[:, t]))][1]
-        raise ValueError(message.format(i=int(i[t]), j=int(j[t]), m=float(m[t]), n=n))
+        a, b = (int(x) if whole[t] else float(x) for x in known[t, :2])
+        raise ValueError(message.format(i=a, j=b, m=float(m[t]), n=n))
     rows, cols = np.divmod(keys, n)
     values = m[first]
     # the keys are distinct and row-major, so a stable sort by column lists
@@ -110,11 +114,11 @@ def _pin_list(known, n):
         raise ValueError(
             f"known set not closed under transposition at ({i[t]}, {j[t]})"
         )
-    missing = np.setdiff1d(np.arange(n), rows[rows == cols])
-    if m.size and missing.size:
-        raise ValueError(
-            f"diagonal entry ({missing[0]}, {missing[0]}) must be pinned to 1"
-        )
+    pinned = np.zeros(n, dtype=bool)
+    pinned[rows[rows == cols]] = True
+    if m.size and not pinned.all():
+        d = int(np.argmin(pinned))
+        raise ValueError(f"diagonal entry ({d}, {d}) must be pinned to 1")
     return rows, cols, values
 
 

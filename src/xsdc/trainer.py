@@ -1,15 +1,15 @@
 """Training orchestration: initialization, the main loop, sweeps.
 
-The loop interleaves three pieces per mini-batch: the feature forward pass,
+One step, _step, serves the supervised initialization and the main loop.
+It interleaves three pieces per mini-batch: the feature forward pass,
 entropic balancing of the batch agreement matrix under the known entries
 (pinned diagonal, same-label pairs, injected pair constraints), and one
 landmark gradient step on the closed-form ridge objective.  Both read the
-batch's ridge kernel A(phi), which the loop builds once per batch and hands
-to balancing and to the step alike.  _batch_known
-gives each batch's known entries as one array, which BalancingProblem
-validates into a sorted pin list.  Fully labeled batches skip
-balancing: their agreement matrix is determined by the labels, so the loop
-degenerates to plain supervised training on the same code path.
+batch's ridge kernel A(phi), which the step builds once and hands to
+balancing and to the gradient step alike.  _batch_known gives each batch's
+known entries as one array, which BalancingProblem validates into a sorted
+pin list.  Fully labeled batches skip balancing: their agreement matrix is
+determined by the labels, so a step on them is plain supervised training.
 
 Three modes share the machinery.  "semi" mixes labeled and unlabeled rows
 per batch, "supervised" draws labeled rows only, "unsupervised" treats every
@@ -154,6 +154,7 @@ class TrainState:
     iteration: int = 0
     best_val_accuracy: float = 0.0
     best_checkpoint: str = None
+    best_layer: NystromLayer = None  # the layer best_checkpoint holds
 
 
 @dataclass
@@ -292,17 +293,60 @@ def supervised_init(state, dataset, config, metrics=None):
     m = min(int(config.batch_size), labeled.size)
     for _ in range(int(config.supervised_init_iters)):
         rows = sampler.draw(m)
-        M = _agreement(dataset.labels[rows])
-        try:
-            result = ulr_step(state.layer, dataset.X[rows], M, step_cfg)
-        except (ValueError, TrainingDiverged) as err:
-            # degenerate features after a blown-up step count as divergence
-            raise TrainingDiverged(str(err), iteration=state.iteration) from err
-        state.layer = result.layer
-        state.iteration += 1
-        if metrics is not None:
-            metrics.record(state.iteration, "init", objective=result.objective)
+        _step(state, dataset, rows, dataset.labels[rows], _NO_CONSTRAINTS,
+              step_cfg, metrics, "init")
     return state
+
+
+def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, split):
+    """One landmark step on a batch: advance state and record the step.
+
+    A fully labeled batch takes M = Y Y^T and leaves the features and the
+    kernel to ulr_step; any other batch balances M against its kernel A.
+    Raises TrainingDiverged on numeric collapse or an objective beyond
+    OBJECTIVE_CEILING, AbortedRun when balancing fails past the mu ladder.
+    """
+    X = dataset.X[rows]
+    feats = A = None
+    mu = marginal_violation = rounds = float("nan")
+    try:
+        if np.all(batch_labels >= 0):
+            # labels pin every entry: balancing has nothing left to do
+            M = _agreement(batch_labels)
+            pairs, values = _batch_pairs(rows, constraints, dataset.n)
+        else:
+            feats = forward(state.layer, X)
+            A = ridge_kernel(feats.phi, step_cfg.lam)
+            known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
+            try:
+                balanced = _balance(A, known, state.config, dataset.k)
+            except BalancingDivergence as err:
+                raise AbortedRun(
+                    f"balancing diverged at iteration {state.iteration}: {err}",
+                    iteration=state.iteration,
+                    metrics=metrics,
+                ) from err
+            M, mu = balanced.M, balanced.mu
+            marginal_violation, rounds = balanced.marginal_violation, balanced.rounds
+        if values.size:
+            worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
+            metrics.constraint_violations.append((state.iteration, worst))
+        result = ulr_step(state.layer, X, M, step_cfg, batch=feats, A=A)
+    except (ValueError, TrainingDiverged) as err:
+        # numeric collapse (degenerate features, overflow)
+        raise TrainingDiverged(str(err), iteration=state.iteration) from err
+    if not np.isfinite(result.objective) or abs(result.objective) > OBJECTIVE_CEILING:
+        raise TrainingDiverged(
+            f"objective {result.objective:g} out of range",
+            iteration=state.iteration,
+        )
+    state.layer = result.layer
+    state.iteration += 1
+    if metrics is not None:
+        metrics.record(
+            state.iteration, split, objective=result.objective,
+            marginal_violation=marginal_violation, mu=mu, rounds=rounds,
+        )
 
 
 def _evaluate_full(state, dataset, split):
@@ -329,8 +373,9 @@ def _evaluate_full(state, dataset, split):
     position = np.full(dataset.n, -1, dtype=np.int64)
     position[rows] = np.arange(rows.size)
     labeled_pos = position[labeled]
-    assign = nn_propagate(phi, labeled_pos, dataset.labels[labeled])
     n_train = train_rows.size
+    # only the train rows' labels are read: by the fit, or as the train score
+    assign = nn_propagate(phi[:n_train], labeled_pos, dataset.labels[labeled])
     classifier = fit_final_classifier(
         phi[:n_train], assign.labels[:n_train], config.ulr.lam, k=dataset.k
     )
@@ -384,11 +429,7 @@ def _batch_known(batch_labels, rows, constraints, n):
     """
     b = rows.size
     labeled = np.flatnonzero(batch_labels >= 0)
-    position = np.full(n, -1)
-    position[rows] = np.arange(b)
-    pos = position[constraints[:, :2]]
-    inside = np.all(pos >= 0, axis=1)
-    pos, values = pos[inside], constraints[inside, 2]
+    pos, values = _batch_pairs(rows, constraints, n)
     diagonal = np.arange(b)
     i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pos[:, 0], pos[:, 1]])
     j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pos[:, 1], pos[:, 0]])
@@ -396,6 +437,15 @@ def _batch_known(batch_labels, rows, constraints, n):
         [np.ones(b), _agreement(batch_labels[labeled]).ravel(), values, values]
     )
     return np.column_stack([i, j, m]), pos, values
+
+
+def _batch_pairs(rows, constraints, n):
+    """Batch positions (c, 2) and values of the constraints inside the batch."""
+    position = np.full(n, -1)
+    position[rows] = np.arange(rows.size)
+    pos = position[constraints[:, :2]]
+    inside = np.all(pos >= 0, axis=1)
+    return pos[inside], constraints[inside, 2]
 
 
 def _checkpoint_doc(layer, classifier, config):
@@ -478,6 +528,7 @@ def _maybe_evaluate(state, dataset, metrics):
     if state.best_checkpoint is None or accuracy > state.best_val_accuracy:
         state.best_val_accuracy = accuracy
         state.best_checkpoint = checkpoint_json(state.layer, classifier, state.config)
+        state.best_layer = state.layer
         state.classifier = classifier
         metrics.best_iteration = state.iteration
 
@@ -523,9 +574,6 @@ def train(dataset, config, mode="semi", listener=None):
     if mode == "supervised":
         lab_m = min(int(config.batch_size), labeled.size)
         unlab_m = 0
-    elif mode == "unsupervised":
-        lab_m = 0
-        unlab_m = min(int(config.batch_size), unlabeled.size)
     else:
         lab_m = _labeled_batch_size(config, labeled.size, unlabeled.size)
         unlab_m = min(int(config.batch_size) - lab_m, unlabeled.size)
@@ -535,69 +583,19 @@ def train(dataset, config, mode="semi", listener=None):
     _maybe_evaluate(state, dataset, metrics)
     for _ in range(int(config.main_iters)):
         rows = np.concatenate([lab_sampler.draw(lab_m), unlab_sampler.draw(unlab_m)])
-        batch_labels = dataset.labels[rows].copy()
-        if mode == "unsupervised":
-            batch_labels[:] = -1
-        try:
-            feats = forward(state.layer, dataset.X[rows])
-            A = ridge_kernel(feats.phi, config.ulr.lam)
-            known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
-            if np.all(batch_labels >= 0):
-                # labels pin every entry: balancing has nothing left to do
-                M = _agreement(batch_labels)
-                mu_used = marginal_violation = rounds = float("nan")
-            else:
-                try:
-                    balanced = _balance(A, known, config, dataset.k)
-                except BalancingDivergence as err:
-                    raise AbortedRun(
-                        f"balancing diverged at iteration {state.iteration}: {err}",
-                        iteration=state.iteration,
-                        metrics=metrics,
-                    ) from err
-                M = balanced.M
-                mu_used = balanced.mu
-                marginal_violation = balanced.marginal_violation
-                rounds = balanced.rounds
-            if values.size:
-                worst = np.max(np.abs(M[pairs[:, 0], pairs[:, 1]] - values))
-                metrics.constraint_violations.append((state.iteration, worst))
-            result = ulr_step(state.layer, dataset.X[rows], M, config.ulr, batch=feats, A=A)
-        except (ValueError, TrainingDiverged) as err:
-            # mid-loop numeric collapse (degenerate features, overflow)
-            raise TrainingDiverged(str(err), iteration=state.iteration) from err
-        if not np.isfinite(result.objective) or abs(result.objective) > OBJECTIVE_CEILING:
-            raise TrainingDiverged(
-                f"objective {result.objective:g} out of range",
-                iteration=state.iteration,
-            )
-        state.layer = result.layer
-        state.iteration += 1
-        metrics.record(
-            state.iteration, "batch", objective=result.objective,
-            marginal_violation=marginal_violation, mu=mu_used, rounds=rounds,
-        )
+        # unsupervised: every row counts as unlabeled, visible label or not
+        batch_labels = np.full(rows.size, -1) if mode == "unsupervised" else dataset.labels[rows]
+        _step(state, dataset, rows, batch_labels, constraints, config.ulr, metrics, "batch")
         if state.iteration % int(config.eval_every) == 0:
             _maybe_evaluate(state, dataset, metrics)
     if int(config.main_iters) and state.iteration % int(config.eval_every):
         _maybe_evaluate(state, dataset, metrics)
 
-    if state.best_checkpoint is not None:
-        best_layer, best_classifier, _ = load_checkpoint(state.best_checkpoint)
-    else:
-        best_layer, best_classifier = state.layer, state.classifier
-    best_state = replace(
-        state, layer=best_layer, classifier=best_classifier, rng=None
-    )
+    if state.best_layer is not None:
+        state.layer = state.best_layer  # state.classifier was scored with it
     if metrics.val_trajectory:
-        metrics.best_val_accuracy = (
-            max(a for _, a in metrics.val_trajectory)
-            if mode == "unsupervised"
-            else state.best_val_accuracy
-        )
-    _finalize(best_state, dataset, metrics)
-    state.layer = best_state.layer
-    state.classifier = best_state.classifier
+        metrics.best_val_accuracy = state.best_val_accuracy
+    _finalize(state, dataset, metrics)
     return state, metrics
 
 
@@ -623,8 +621,10 @@ def _finalize(state, dataset, metrics):
         state.classifier = fit_final_classifier(
             phi[train_rows], assign.labels[train_rows], config.ulr.lam, k=dataset.k
         )
-        metrics.final_labels = assign.labels
-        metrics.final_sources = _where_str(dataset.labels >= 0, "ground_truth", "nearest_neighbor")
+        # propagation seeds on the labeled train rows; visible labels stand
+        visible = dataset.labels >= 0
+        metrics.final_labels = np.where(visible, dataset.labels, assign.labels)
+        metrics.final_sources = _where_str(visible, "ground_truth", "nearest_neighbor")
     if _scoreable(dataset, "test"):
         test_accuracy, _ = _evaluate_full(state, dataset, "test")
         metrics.test_accuracy = test_accuracy

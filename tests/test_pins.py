@@ -7,6 +7,8 @@ of that dict in row-major order, the order np.nonzero lists a mask in, and
 validation must fail with the same messages.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,22 @@ def test_transposition_check_on_int64_columns():
         with pytest.raises(ValueError) as expected:
             oracle_normalize_known(known, n)
         assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        ((1.7, 1.2, 1.0), "(1.7, 1.2)"),  # once truncated to the pin (1, 1)
+        ((float("nan"), 1, 1.0), "(nan, 1.0)"),
+        ((0, float("inf"), 0.0), "(0.0, inf)"),
+        ((5.5, 0, 1.0), "(5.5, 0.0)"),  # out of range too: named as non-integer
+    ],
+    ids=["fraction", "nan", "inf", "fraction-out-of-range"],
+)
+def test_non_integer_indices_rejected(bad, shown):
+    for form in (list, np.array):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                BalancingProblem(np.zeros((2, 2)), form([(0, 0, 1), bad, (1, 1, 1)]), 1, 1)
+        assert str(caught.value) == f"known entry {shown} needs finite integer indices"

@@ -9,6 +9,7 @@ from xsdc.data import make_blobs
 from xsdc.errors import AbortedRun, TrainingDiverged
 from xsdc.linalg import ridge_kernel
 from xsdc.trainer import (
+    OBJECTIVE_CEILING,
     RunMetrics,
     TrainConfig,
     TrainState,
@@ -190,6 +191,15 @@ def test_final_labels_cover_dataset_in_semi_mode():
     assert state.classifier is not None
 
 
+def test_final_labels_keep_visible_labels_on_overlapping_blobs():
+    # propagation seeds on labeled train rows only; on overlapping blobs it
+    # gives many val/test rows another label than their visible one
+    ds = _blobs(separation=1.5)
+    _, metrics = train(ds, _small_config(), mode="semi")
+    vis = ds.labels >= 0
+    np.testing.assert_array_equal(metrics.final_labels[vis], ds.labels[vis])
+
+
 # ---------------------------------------------------------------- constraints
 
 def test_constraints_held_every_iteration():
@@ -223,6 +233,24 @@ def test_constraints_recorded_on_fully_labeled_batches():
     assert json.loads(json.dumps(metrics.constraint_violations)) == [
         [it, 0.0] for it in range(10, 13)
     ]
+
+
+def test_supervised_run_builds_no_batch_pins(monkeypatch):
+    # fully labeled batches need only the constraint pairs, not the pin list
+    calls = []
+    pins = xsdc.trainer._batch_known
+
+    def counted(*args):
+        calls.append(args)
+        return pins(*args)
+
+    monkeypatch.setattr(xsdc.trainer, "_batch_known", counted)
+    ds = _blobs()
+    a, b = (int(r) for r in ds.labeled_indices("train")[:2])
+    cfg = _small_config(constraints=[(a, b, float(ds.labels[a] == ds.labels[b]))])
+    _, metrics = train(ds, cfg, mode="supervised")
+    assert calls == []
+    assert [v for _, v in metrics.constraint_violations] == [0.0] * cfg.main_iters
 
 
 def test_conflicting_constraint_rejected_up_front():
@@ -278,6 +306,33 @@ def test_huge_learning_rate_diverges():
     with pytest.raises(TrainingDiverged) as err:
         train(ds, cfg, mode="semi")
     assert err.value.iteration is not None
+
+
+def test_init_objective_above_ceiling_diverges(monkeypatch):
+    # the init phase applies the main loop's ceiling to the step objective
+    step = xsdc.trainer.ulr_step
+    steps = []
+
+    def blown(*args, **kwargs):
+        result = step(*args, **kwargs)
+        steps.append(result)
+        if len(steps) == 2:
+            result.objective = 10 * OBJECTIVE_CEILING
+        return result
+
+    monkeypatch.setattr(xsdc.trainer, "ulr_step", blown)
+    ds = _blobs()
+    cfg = _small_config()
+    state = TrainState(
+        layer=xsdc.trainer._build_layer(ds.X, cfg), config=cfg, mode="semi",
+        rng=np.random.default_rng(0),
+    )
+    metrics = RunMetrics()
+    with pytest.raises(TrainingDiverged, match="out of range") as err:
+        supervised_init(state, ds, cfg, metrics)
+    assert err.value.iteration == 1
+    assert len(steps) == 2 and state.iteration == 1
+    assert [r["split"] for r in metrics.records] == ["init"]
 
 
 def test_balancing_gives_up_as_aborted_run():
