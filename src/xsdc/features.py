@@ -16,7 +16,6 @@ import hashlib
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.spatial.distance import pdist
 
 from .errors import StaleCacheError
 from .linalg import newton_inv_sqrt_cached, newton_inv_sqrt_vjp
@@ -47,12 +46,76 @@ def rbf_kernel(A, B, sigma):
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
+# elements of the difference buffer of one sqeuclidean chunk
+_DIST_CHUNK = 1 << 18
+
+
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ... left to right, in place, as scipy's distance
+    loops add; numpy's pairwise summation rounds otherwise from 8 terms."""
+    for term in terms[1:]:
+        terms[0] += term
+    return terms[0]
+
+
+def sqeuclidean(A, B):
+    """Squared Euclidean distances between the rows of A and of B.
+
+    Bit for bit scipy's cdist(A, B, "sqeuclidean"), and its square root
+    cdist(A, B).  Rows of A go in chunks of at most _DIST_CHUNK differences.
+    """
+    step = max(1, _DIST_CHUNK // max(1, A.shape[1] * B.shape[0]))
+    blocks = []
+    for start in range(0, A.shape[0] or 1, step):
+        # rows of A along the contiguous last axis: the long one in k-means
+        rows = np.ascontiguousarray(A[start:start + step].T)
+        diff = B.T[:, :, None] - rows[:, None, :]
+        blocks.append(_ordered_sum(np.square(diff, out=diff)).T)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def median_bandwidth(X, max_points=1000):
-    """Median pairwise Euclidean distance over the first max_points rows."""
+    """Median pairwise Euclidean distance over the first max_points rows.
+
+    Bit for bit np.median(scipy.spatial.distance.pdist(X[:max_points])).
+    One product estimates every squared distance; only pairs near the
+    median get their exact one.  Raises ValueError for non-finite rows.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 rows to estimate a bandwidth")
-    sigma = float(np.median(pdist(X[: int(max_points)])))
+    if int(max_points) < 2:
+        raise ValueError(f"max_points must be at least 2, got {max_points}")
+    Y = X[: int(max_points)]
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("X has non-finite entries")
+    m, d = Y.shape
+    A = Y - Y.mean(axis=0)
+    sq = np.einsum("ij,ij->i", A, A)[:, None]
+    one = np.ones_like(sq)
+    est = (np.hstack([A, sq, one]) @ np.hstack([-2.0 * A, one, sq]).T).ravel()
+    # |est - q| <= bound for the sum q pdist forms (0 on the diagonal): with
+    # u = eps / 2, a = fl(y - mean), R = 4 max |a|^2, gamma_n = n u / (1 - n u),
+    # centering moves q by 2.04 u R, the product errs by (gamma_d + gamma_{d+2})
+    # R and pdist's sum by gamma_{d+2} R, below (1.5 d + 3.1) eps R in all;
+    # bound doubles (d + 4) eps R, plus a subnormal step per product in a term.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    bound = 2.0 * (d + 4) * (np.finfo(np.float64).eps * 4.0 * sq.max() + tiny)
+    # m diagonal zeros sort first and each pair counts twice: median pairs,
+    # ranks (N - 1) // 2 and N // 2 of N, are ranks r and r + 2 (N even) of est
+    n_pairs = m * (m - 1) // 2
+    r = m + 2 * ((n_pairs - 1) // 2)
+    ranks = [r, r + 2 * (n_pairs % 2 == 0)]
+    part = np.partition(est, r)
+    upper = part[r + 1:]
+    upper[np.argmin(upper)] = np.inf
+    hi = upper.min() if ranks[1] > r else part[r]
+    # entries below part[r] - 2 bound are shorter than the median pairs,
+    # those above hi + 2 bound longer; a NaN or infinite bound keeps all
+    below = est < part[r] - 2.0 * bound
+    i, j = np.divmod(np.flatnonzero(~(below | (est > hi + 2.0 * bound))), m)
+    q = np.sort(_ordered_sum(np.square(Y.T[:, i] - Y.T[:, j])))
+    sigma = float(np.mean(np.sqrt(q[np.subtract(ranks, np.count_nonzero(below))])))
     if sigma <= 0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return sigma

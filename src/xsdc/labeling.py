@@ -4,13 +4,18 @@ Covers the two labeling routes (1-nearest-neighbor propagation from the
 labeled set, spectral clustering of a balanced equivalence matrix), the
 Hungarian matching used to score cluster labels against ground truth, and
 the terminal ridge classifier fit on propagated labels.
+
+Runs on numpy alone.  Distances, nearest neighbors and matchings equal
+those of scipy's cdist and linear_sum_assignment bit for bit, ties
+included; the tests hold them to scipy as the oracle.
 """
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
+from .features import sqeuclidean
 from .linalg import ridge_solve
 
 KMEANS_RESTARTS = 20
@@ -35,6 +40,7 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
     Labeled rows keep their labels.  Each unlabeled row takes the majority
     label of its k nearest labeled rows in Euclidean distance; distance ties
     prefer the lowest observation index, vote ties the lowest label.
+    Non-finite features raise ValueError.
     """
     features_all = np.asarray(features_all, dtype=np.float64)
     labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
@@ -43,6 +49,8 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
         raise ValueError("no labeled observations to propagate from")
     if labeled_idx.shape != labels_S.shape:
         raise ValueError("labeled_idx and labels_S must align")
+    if not np.all(np.isfinite(features_all)):
+        raise ValueError("features must be finite")
     n = features_all.shape[0]
     if labeled_idx.min() < 0 or labeled_idx.max() >= n:
         raise ValueError("labeled_idx out of range")
@@ -58,63 +66,95 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
     labels[labeled_idx] = labels_S
     unlabeled = np.flatnonzero(labels < 0)
     labeled_features = features_all[labeled_idx]
-    # each row's distances are computed alone, so blocking changes no label
+    # each row's labels are decided alone, so blocking changes no label
     for start in range(0, unlabeled.size, _PROPAGATE_BLOCK):
         rows = unlabeled[start:start + _PROPAGATE_BLOCK]
-        d = cdist(features_all[rows], labeled_features)
+        X = features_all[rows]
         if k_neighbors == 1:
-            labels[rows] = labels_S[np.argmin(d, axis=1)]
+            labels[rows] = labels_S[_nearest(X, labeled_features)]
         else:
-            nearest = np.argsort(d, axis=1, kind="stable")[:, :k_neighbors]
+            dist = np.sqrt(sqeuclidean(X, labeled_features))
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
             for row, cols in zip(rows, nearest):
                 votes = np.bincount(labels_S[cols])
                 labels[row] = int(np.argmax(votes))
     return LabelAssignment(labels=labels, source="nearest_neighbor")
 
 
-def _kmeans_once(X, k, rng):
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    d2 = np.full(n, np.inf)
-    for c in range(k):
-        if c == 0:
-            idx = int(rng.integers(n))
-        else:
-            total = d2.sum()
-            if total > 0:
-                idx = int(rng.choice(n, p=d2 / total))
-            else:
-                idx = int(rng.integers(n))
-        centers[c] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1))
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(KMEANS_ITERS):
-        dist = cdist(X, centers, "sqeuclidean")
-        new_labels = np.argmin(dist, axis=1)
-        for c in range(k):
-            members = new_labels == c
-            if members.any():
-                centers[c] = X[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the worst-fit point
-                worst = int(np.argmax(np.min(dist, axis=1)))
-                centers[c] = X[worst]
-                new_labels[worst] = c
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-    inertia = float(np.sum((X - centers[labels]) ** 2))
-    return labels, inertia
+def _nearest(X, C):
+    """Per row of X, the first row of C at the least Euclidean distance.
+
+    Equals np.argmin(cdist(X, C), axis=1), ties included.  One product
+    scores the rows of C by |c|^2 - 2 x.c; rows of X whose runner-up scores
+    within bound of the best are re-decided on exact distances.  With
+    u = eps / 2, R = |x|^2 + max |c|^2 and gamma_n = n u / (1 - n u), a score
+    errs by 2 gamma_{d+1} R at most, cdist's sum by 2 gamma_{d+2} R, and the
+    rounded roots of sums 10.1 u R apart differ: a runner-up over (8 d + 23)
+    u R behind lies farther in cdist too.  bound is 16 (d + 4) u R plus a
+    subnormal step per product in a score or sum.
+    """
+    norms = np.einsum("ij,ij->i", C, C)
+    scores = X @ (-2.0 * C.T)
+    scores += norms
+    rows = np.arange(X.shape[0])
+    best = np.argmin(scores, axis=1)
+    least = scores[rows, best]
+    scores[rows, best] = np.inf
+    reach = np.einsum("ij,ij->i", X, X) + norms.max()
+    tiny = np.finfo(np.float64).smallest_subnormal
+    bound = 8.0 * (X.shape[1] + 4) * (np.finfo(np.float64).eps * reach + tiny)
+    # NaN from an overflow fails the comparison and goes to the exact path
+    close = np.flatnonzero(~(scores.min(axis=1) > least + bound))
+    best[close] = np.argmin(np.sqrt(sqeuclidean(X[close], C)), axis=1)
+    return best
 
 
 def _kmeans(X, k, seed):
+    """Best of KMEANS_RESTARTS seeded Lloyd runs by inertia, first on ties.
+
+    Only the k-means++ style seeding draws from the generator, so every
+    restart is seeded first; the restarts still running then share one
+    distance call per iteration, each iterating as it would alone.
+    """
+    n, d = X.shape
     rng = np.random.default_rng(seed)
+    centers = np.empty((KMEANS_RESTARTS, k, d))
+    for seeds in centers:
+        d2 = np.full(n, np.inf)
+        for c in range(k):
+            total = d2.sum() if c else 0.0
+            idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+            seeds[c] = X[idx]
+            d2 = np.minimum(d2, np.sum((X - seeds[c]) ** 2, axis=1))
+    labels = np.zeros((KMEANS_RESTARTS, n), dtype=np.int64)
+    running = list(range(KMEANS_RESTARTS))
+    for _ in range(KMEANS_ITERS):
+        if not running:
+            break
+        dist = sqeuclidean(X, centers[running].reshape(-1, d)).reshape(n, -1, k)
+        nearest = np.ascontiguousarray(np.argmin(dist, axis=2).T)
+        still = []
+        for col, r in enumerate(running):
+            new_labels = nearest[col]
+            for c in range(k):
+                rows = X[new_labels == c]
+                if rows.size:
+                    # rows.mean(axis=0) as numpy forms it, without its overhead
+                    centers[r, c] = np.add.reduce(rows, axis=0) / len(rows)
+                else:
+                    # re-seed an empty cluster at the worst-fit point
+                    worst = int(np.argmax(np.min(dist[:, col], axis=1)))
+                    centers[r, c] = X[worst]
+                    new_labels[worst] = c
+            if not np.array_equal(new_labels, labels[r]):
+                still.append(r)
+            labels[r] = new_labels
+        running = still
     best_labels, best_inertia = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _kmeans_once(X, k, rng)
+    for r in range(KMEANS_RESTARTS):
+        inertia = float(np.sum((X - centers[r][labels[r]]) ** 2))
         if inertia < best_inertia - 1e-12:
-            best_labels, best_inertia = labels, inertia
+            best_labels, best_inertia = labels[r], inertia
     return best_labels
 
 
@@ -162,11 +202,56 @@ def hungarian_match(pred, truth, k=None):
         raise ValueError(f"labels exceed k={k}")
     table = np.zeros((k, k), dtype=np.int64)
     np.add.at(table, (pred, truth), 1)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    mapping = np.empty(k, dtype=np.int64)
-    mapping[rows] = cols
-    accuracy = float(table[rows, cols].sum()) / pred.size
+    mapping = np.array(_max_assignment(table.tolist()), dtype=np.int64)
+    accuracy = float(table[np.arange(k), mapping].sum()) / pred.size
     return mapping, accuracy
+
+
+def _max_assignment(table):
+    """Column for each row of a square integer table, maximizing the total.
+
+    Shortest augmenting paths after Crouse (2016, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4)) as scipy's
+    linear_sum_assignment(table, maximize=True) runs them, so equal optima
+    resolve alike.  Costs are the negated counts: every sum is exact.
+    """
+    k = len(table)
+    u, v = [0] * k, [0] * k
+    path, col4row, row4col = [-1] * k, [-1] * k, [-1] * k
+    for cur in range(k):
+        shortest = [math.inf] * k
+        seen_rows, seen_cols = set(), set()
+        remaining = list(range(k - 1, -1, -1))  # a constant table gets the identity
+        i, min_val, sink = cur, 0, -1
+        while sink < 0:
+            seen_rows.add(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val - table[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                # among equal costs prefer a free column: it ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            min_val, j = lowest, remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            seen_cols.add(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur] += min_val
+        for i in seen_rows - {cur}:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        i, j = -1, sink
+        while i != cur:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
 
 
 def fit_final_classifier(features, labels, lam, k=None):

@@ -519,15 +519,14 @@ def _scoreable(dataset, split):
 
 
 def _maybe_evaluate(state, dataset, metrics):
-    """Score the val split, advance the best checkpoint, log the point."""
+    """Score the val split, keep the best layer and classifier, log the point."""
     if not _scoreable(dataset, "val"):
         return
     accuracy, classifier = _evaluate_full(state, dataset, "val")
     metrics.record(state.iteration, "val", accuracy=accuracy)
     metrics.val_trajectory.append((state.iteration, accuracy))
-    if state.best_checkpoint is None or accuracy > state.best_val_accuracy:
+    if state.best_layer is None or accuracy > state.best_val_accuracy:
         state.best_val_accuracy = accuracy
-        state.best_checkpoint = checkpoint_json(state.layer, classifier, state.config)
         state.best_layer = state.layer
         state.classifier = classifier
         metrics.best_iteration = state.iteration
@@ -538,11 +537,12 @@ def train(dataset, config, mode="semi", listener=None):
 
     The semi and supervised modes start from the supervised initialization
     phase; every eval_every iterations the val split is scored and the best
-    checkpoint updated.  The final labeling and test score come from the
-    best checkpoint.  Balancing failures that survive the retry ladder raise
-    AbortedRun carrying the metrics collected so far; numeric blow-ups raise
-    TrainingDiverged.  listener, when given, receives every metrics record
-    as it is written (progress reporting).
+    layer kept, which state.best_checkpoint serializes once training ends.
+    The final labeling and test score come from the best layer.  Balancing
+    failures that survive the retry ladder raise AbortedRun carrying the
+    metrics collected so far; numeric blow-ups raise TrainingDiverged.
+    listener, when given, receives every metrics record as it is written
+    (progress reporting).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -593,6 +593,7 @@ def train(dataset, config, mode="semi", listener=None):
 
     if state.best_layer is not None:
         state.layer = state.best_layer  # state.classifier was scored with it
+        state.best_checkpoint = checkpoint_json(state.layer, state.classifier, config)
     if metrics.val_trajectory:
         metrics.best_val_accuracy = state.best_val_accuracy
     _finalize(state, dataset, metrics)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
+import xsdc.features
 from xsdc.errors import StaleCacheError
 from xsdc.features import (
     NystromLayer,
@@ -11,6 +13,7 @@ from xsdc.features import (
     init_landmarks,
     median_bandwidth,
     rbf_kernel,
+    sqeuclidean,
 )
 
 
@@ -46,7 +49,55 @@ class TestRbfKernel:
             rbf_kernel(np.ones((2, 3)), np.ones((2, 3)), 0.0)
 
 
+class TestSqeuclidean:
+    @pytest.mark.parametrize("p", range(1, 18))
+    def test_cdist_oracle(self, p, monkeypatch):
+        # a small chunk splits A into several chunks, one of them partial
+        monkeypatch.setattr(xsdc.features, "_DIST_CHUNK", 7 * p * 5)
+        rng = np.random.default_rng(p)
+        for a, b in [(0, 3), (1, 1), (23, 5), (40, 1)]:
+            A = rng.normal(size=(a, p)) * 10.0 ** rng.uniform(-4, 4, size=p)
+            B = np.vstack([rng.normal(size=(b, p)), A[:1]])
+            got = sqeuclidean(A, B)
+            assert np.array_equal(got, cdist(A, B, "sqeuclidean"))
+            assert np.array_equal(np.sqrt(got), cdist(A, B))
+
+
 class TestMedianBandwidth:
+    def test_pdist_oracle(self):
+        # odd and even pair counts; rounded rows tie many distances, rows
+        # moved by a few ulps put distances within rounding of each other,
+        # offset rows lie far from the origin
+        rng = np.random.default_rng(3)
+        for case in range(200):
+            m = int(rng.integers(2, 70))
+            d = int(rng.integers(1, 18))
+            X = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3)
+            if case % 4 == 1:
+                X = np.round(X / X.std())
+            if case % 4 == 2:
+                X = rng.integers(1, 3, size=(m, d)) + rng.integers(-2, 3, size=(m, d)) * 2.0**-50
+            if case % 4 == 3:
+                X = rng.integers(0, 3, size=(m, d)) + 1e6
+            expected = float(np.median(pdist(X)))
+            if expected > 0:
+                assert median_bandwidth(X) == expected
+        X = rng.normal(size=(1200, 10))
+        assert median_bandwidth(X) == float(np.median(pdist(X[:1000])))
+
+    def test_max_points_below_two_rejected(self):
+        X = np.random.default_rng(4).normal(size=(10, 3))
+        for max_points in (1, 0, -3):
+            with pytest.raises(ValueError, match="max_points"):
+                median_bandwidth(X, max_points=max_points)
+
+    def test_non_finite_rows_rejected(self):
+        X = np.random.default_rng(5).normal(size=(10, 3))
+        for bad in (np.nan, np.inf):
+            X[4, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                median_bandwidth(X)
+
     def test_three_points_on_line(self):
         X = np.array([[0.0], [1.0], [3.0]])
         # pairwise distances 1, 3, 2 -> median 2

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+import xsdc.labeling
 from xsdc.labeling import (
+    KMEANS_ITERS,
+    KMEANS_RESTARTS,
     _PROPAGATE_BLOCK,
     LabelAssignment,
     fit_final_classifier,
@@ -88,6 +92,49 @@ def test_propagate_blocks_match_unblocked():
         assert np.array_equal(out.labels, expected)
 
 
+def _cdist_propagate(X, idx, lab, k=1):
+    """nn_propagate written with scipy's cdist, the oracle it must equal."""
+    order = np.argsort(idx, kind="stable")
+    unlabeled = np.setdiff1d(np.arange(X.shape[0]), idx)
+    expected = np.full(X.shape[0], -1)
+    expected[idx] = lab
+    if unlabeled.size:
+        d = cdist(X[unlabeled], X[idx[order]])
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        expected[unlabeled] = [np.argmax(np.bincount(lab[order][c])) for c in nearest]
+    return expected
+
+
+@pytest.mark.parametrize("p", [1, 5, 8, 16, 17])
+def test_propagate_matches_cdist_oracle(p):
+    # grid points make equidistant labeled rows, grid points moved by a few
+    # ulps distances within rounding of each other; copies make duplicates
+    rng = np.random.default_rng(p)
+    for case in range(60):
+        n = int(rng.integers(2, 90))
+        X = rng.integers(0, 3, size=(n, p)).astype(float)
+        if case % 4 == 1:
+            X += rng.integers(-2, 3, size=(n, p)) * 2.0**-50
+        if case % 4 >= 2:
+            X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3)
+        m = int(rng.integers(1, n + 1))
+        idx = rng.choice(n, size=m, replace=False)
+        if case % 4 == 2 and m >= 2:
+            X[idx[1]] = X[idx[0]]
+        lab = rng.integers(0, 4, size=m)
+        for k in (1, min(3, m)):
+            expected = _cdist_propagate(X, idx, lab, k)
+            assert np.array_equal(nn_propagate(X, idx, lab, k_neighbors=k).labels, expected)
+
+
+def test_propagate_rejects_non_finite_features():
+    X = np.random.default_rng(4).normal(size=(6, 2))
+    for bad in (np.nan, np.inf):
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nn_propagate(X, [0, 1], [0, 1])
+
+
 def test_propagate_validation():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError):
@@ -159,6 +206,59 @@ def test_spectral_validation():
         spectral_cluster(np.eye(3), k=4)
 
 
+def _kmeans_oracle(X, k, seed):
+    """The k-means the package ran before it used numpy alone: one restart
+    after another, each seeded and iterated with scipy's cdist."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(KMEANS_RESTARTS):
+        n = X.shape[0]
+        centers = np.empty((k, X.shape[1]))
+        d2 = np.full(n, np.inf)
+        for c in range(k):
+            total = d2.sum()
+            if c > 0 and total > 0:
+                idx = int(rng.choice(n, p=d2 / total))
+            else:
+                idx = int(rng.integers(n))
+            centers[c] = X[idx]
+            d2 = np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1))
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(KMEANS_ITERS):
+            dist = cdist(X, centers, "sqeuclidean")
+            new_labels = np.argmin(dist, axis=1)
+            for c in range(k):
+                members = new_labels == c
+                if members.any():
+                    centers[c] = X[members].mean(axis=0)
+                else:
+                    worst = int(np.argmax(np.min(dist, axis=1)))
+                    centers[c] = X[worst]
+                    new_labels[worst] = c
+            done = np.array_equal(new_labels, labels)
+            labels = new_labels
+            if done:
+                break
+        inertia = float(np.sum((X - centers[labels]) ** 2))
+        if inertia < best_inertia - 1e-12:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+def test_kmeans_matches_cdist_oracle():
+    # noisy blocks, duplicate rows (empty clusters) and k from 1 to 6
+    rng = np.random.default_rng(12)
+    for case in range(40):
+        k = int(rng.integers(1, 7))
+        n = int(rng.integers(k, 80))
+        truth = rng.integers(0, k, size=n)
+        X = np.eye(k)[truth] + rng.uniform(0.0, 0.6) * rng.normal(size=(n, k))
+        if case % 4 == 0:
+            X = np.round(X, 1)
+        seed = int(rng.integers(100))
+        assert np.array_equal(xsdc.labeling._kmeans(X, k, seed), _kmeans_oracle(X, k, seed))
+
+
 # ------------------------------------------------------------------ hungarian
 
 def test_hungarian_identity():
@@ -197,6 +297,23 @@ def test_hungarian_relabel_invariance():
     perm = np.array([2, 0, 3, 1])
     _, acc_perm = hungarian_match(perm[pred], truth, k=4)
     assert acc == pytest.approx(acc_perm, abs=1e-12)
+
+
+def test_hungarian_matches_scipy_oracle():
+    # few rows over k labels give tied tables; k = 1 is the trivial table
+    rng = np.random.default_rng(11)
+    for case in range(600):
+        k = 1 + case % 7
+        size = int(rng.integers(1, 3 * k + 2))
+        pred = rng.integers(0, k, size=size)
+        truth = rng.integers(0, k, size=size)
+        table = np.zeros((k, k), dtype=np.int64)
+        np.add.at(table, (pred, truth), 1)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        mapping, acc = hungarian_match(pred, truth, k=k)
+        assert np.array_equal(rows, np.arange(k))
+        assert np.array_equal(mapping, cols)
+        assert acc == float(table[rows, cols].sum()) / size
 
 
 def test_hungarian_validation():

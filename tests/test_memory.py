@@ -11,9 +11,17 @@ import tracemalloc
 import numpy as np
 
 from xsdc.balancing import BalancingProblem, balance_doubling
+from xsdc.data import Dataset
 from xsdc.features import NystromLayer, forward
 from xsdc.linalg import ridge_kernel
-from xsdc.trainer import _batch_known
+from xsdc.trainer import (
+    _NO_CONSTRAINTS,
+    RunMetrics,
+    TrainConfig,
+    TrainState,
+    _batch_known,
+    _step,
+)
 from xsdc.ulr import UlrConfig, ulr_step
 
 B, P, D = 1024, 8, 10
@@ -79,3 +87,22 @@ def test_balance_forms_M_in_the_kernel_buffer():
         return balance_doubling(problem)
 
     assert _peak_arrays(call) <= 1.5
+
+
+def test_whole_main_loop_step_peak():
+    # forward, kernel, pins, balance and the landmark step of one semi batch
+    # at once; 2.25 measured when this bound was set
+    layer, X, _ = _batch()
+    rng = np.random.default_rng(3)
+    truth = rng.integers(0, 4, size=B)
+    labels = np.where(rng.random(B) < 0.1, truth, -1)
+    dataset = Dataset("memory", X, labels, 4, np.full(B, "train"), truth)
+    config = TrainConfig(ulr=UlrConfig(lam=LAM))
+    state = TrainState(layer=layer, config=config, mode="semi", rng=rng)
+    rows = np.arange(B)
+
+    def call():
+        _step(state, dataset, rows, labels, _NO_CONSTRAINTS, config.ulr, RunMetrics(), "batch")
+
+    assert _peak_arrays(call) <= 2.5
+    assert state.iteration == 1

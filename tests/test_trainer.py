@@ -114,6 +114,33 @@ def test_best_checkpoint_tracks_max_val_accuracy():
     assert state.best_checkpoint is not None
 
 
+def test_best_checkpoint_serialized_once(monkeypatch):
+    # val accuracy rises at every evaluation, so the best moves each time
+    evaluate_full = xsdc.trainer._evaluate_full
+    rising = iter(np.linspace(0.1, 0.9, 50))
+
+    def scored(state, dataset, split):
+        accuracy, classifier = evaluate_full(state, dataset, split)
+        return (next(rising) if split == "val" else accuracy), classifier
+
+    serialize = xsdc.trainer.checkpoint_json
+    calls = []
+
+    def counted(layer, classifier, config):
+        calls.append(classifier)
+        return serialize(layer, classifier, config)
+
+    monkeypatch.setattr(xsdc.trainer, "_evaluate_full", scored)
+    monkeypatch.setattr(xsdc.trainer, "checkpoint_json", counted)
+    state, metrics = train(_blobs(), _small_config(), mode="semi")
+    assert len(metrics.val_trajectory) >= 3
+    assert metrics.best_iteration == metrics.val_trajectory[-1][0]
+    assert len(calls) == 1
+    layer, classifier, _ = load_checkpoint(state.best_checkpoint)
+    assert np.array_equal(layer.landmarks, state.best_layer.landmarks)
+    assert np.array_equal(classifier.weights, calls[0].weights)
+
+
 def test_reproducible_across_runs():
     ds = _blobs()
     cfg = _small_config()
