@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import AbortedRun, BalancingDivergence, ParseError, TrainingDiverged
 from .labeling import hungarian_match, spectral_cluster
-from .trainer import TrainConfig, checkpoint_json, sweep, train
+from .trainer import TrainConfig, sweep, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -150,10 +150,7 @@ def cmd_train(args):
         listener=lambda rec: _emit("metric", **{k: _jsonable(v) for k, v in rec.items()}),
     )
     _write_csv_rows(os.path.join(out_dir, "metrics.csv"), metrics.to_rows())
-    checkpoint = state.best_checkpoint or checkpoint_json(
-        state.layer, state.classifier, config
-    )
-    _atomic_write(os.path.join(out_dir, "checkpoint.json"), checkpoint)
+    _atomic_write(os.path.join(out_dir, "checkpoint.json"), state.best_checkpoint)
     label_rows = itertools.chain(
         [("row_index", "predicted_label", "source")],
         (

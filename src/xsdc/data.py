@@ -29,6 +29,12 @@ class Dataset:
         self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError(f"X must be 2-d, got shape {self.X.shape}")
+        bad = ~np.isfinite(self.X)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                f"X must be finite, got {self.X[row, col]} at row {row}, column {col}"
+            )
         n = self.X.shape[0]
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.true_labels is None:

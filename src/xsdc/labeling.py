@@ -31,16 +31,14 @@ class LabelAssignment:
 
     labels: np.ndarray
     source: str  # nearest_neighbor | spectral | ground_truth
-    matched_accuracy: float = None
 
 
-def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
-    """Propagate labels to every row by nearest labeled neighbors.
+def nn_propagate(features_all, labeled_idx, labels_S):
+    """Propagate labels to every row from its nearest labeled row.
 
-    Labeled rows keep their labels.  Each unlabeled row takes the majority
-    label of its k nearest labeled rows in Euclidean distance; distance ties
-    prefer the lowest observation index, vote ties the lowest label.
-    Non-finite features raise ValueError.
+    Labeled rows keep their labels.  Each unlabeled row takes the label of
+    its nearest labeled row in Euclidean distance; distance ties prefer the
+    lowest observation index.  Non-finite features raise ValueError.
     """
     features_all = np.asarray(features_all, dtype=np.float64)
     labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
@@ -54,11 +52,6 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
     n = features_all.shape[0]
     if labeled_idx.min() < 0 or labeled_idx.max() >= n:
         raise ValueError("labeled_idx out of range")
-    k_neighbors = int(k_neighbors)
-    if not 1 <= k_neighbors <= labeled_idx.size:
-        raise ValueError(
-            f"k_neighbors must be in [1, {labeled_idx.size}], got {k_neighbors}"
-        )
     order = np.argsort(labeled_idx, kind="stable")
     labeled_idx = labeled_idx[order]
     labels_S = labels_S[order]
@@ -66,18 +59,10 @@ def nn_propagate(features_all, labeled_idx, labels_S, k_neighbors=1):
     labels[labeled_idx] = labels_S
     unlabeled = np.flatnonzero(labels < 0)
     labeled_features = features_all[labeled_idx]
-    # each row's labels are decided alone, so blocking changes no label
+    # each row's label is decided alone, so blocking changes no label
     for start in range(0, unlabeled.size, _PROPAGATE_BLOCK):
         rows = unlabeled[start:start + _PROPAGATE_BLOCK]
-        X = features_all[rows]
-        if k_neighbors == 1:
-            labels[rows] = labels_S[_nearest(X, labeled_features)]
-        else:
-            dist = np.sqrt(sqeuclidean(X, labeled_features))
-            nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
-            for row, cols in zip(rows, nearest):
-                votes = np.bincount(labels_S[cols])
-                labels[row] = int(np.argmax(votes))
+        labels[rows] = labels_S[_nearest(features_all[rows], labeled_features)]
     return LabelAssignment(labels=labels, source="nearest_neighbor")
 
 
@@ -169,6 +154,8 @@ def spectral_cluster(M, k, seed=0):
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M has non-finite entries")
     n = M.shape[0]
     k = int(k)
     if not 1 <= k <= n:

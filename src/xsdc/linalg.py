@@ -1,9 +1,8 @@
 """Dense linear algebra kernels shared by the rest of the package.
 
 Everything operates on float64 numpy arrays with observations in rows.  The
-row-centering projector is never materialized; ``center_rows`` realizes its
-action by broadcast subtraction, which keeps every consumer O(n d) instead of
-O(n^2).
+row-centering projector is never materialized; each consumer applies it by
+subtracting the column means, which is O(n d) instead of O(n^2).
 """
 
 import numpy as np
@@ -17,16 +16,6 @@ def _as_matrix(X, name):
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {X.shape}")
     return X
-
-
-def center_rows(X):
-    """Subtract the per-column mean from every row.
-
-    Applying the operation twice gives the same result as applying it once;
-    the column means of the output are zero to machine precision.
-    """
-    X = _as_matrix(X, "X")
-    return X - X.mean(axis=0)
 
 
 @dataclass

@@ -154,7 +154,7 @@ class TrainState:
     iteration: int = 0
     best_val_accuracy: float = 0.0
     best_checkpoint: str = None
-    best_layer: NystromLayer = None  # the layer best_checkpoint holds
+    best_layer: NystromLayer = None  # the layer of best_val_accuracy
 
 
 @dataclass
@@ -349,58 +349,59 @@ def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, sp
         )
 
 
-def _evaluate_full(state, dataset, split):
-    """Accuracy on a split plus the classifier that produced it (or None)."""
-    config, mode = state.config, state.mode
+def evaluate(state, dataset, split):
+    """Split accuracy under the current parameters.
+
+    Semi-supervised modes normalize the features over the train rows plus
+    the split's rows, propagate labels over the train rows, fit the terminal
+    classifier on them and score its predictions on the split; the "train"
+    split scores the propagated labels and fits no classifier.  The
+    unsupervised mode scores a spectrally clustered evaluation batch through
+    Hungarian matching.  Deterministic: repeated calls agree exactly.
+
+    After train, evaluate(state, dataset, "test") can differ from
+    metrics.test_accuracy on rare rows: _finalize normalizes the features
+    over every row of the dataset, not over the train and test rows alone.
+    """
+    config = state.config
     split_rows = dataset.split_indices(split)
     if split_rows.size == 0:
         raise ValueError(f"split {split!r} is empty")
-    if mode == "unsupervised":
+    if state.mode == "unsupervised":
         rows = _eval_rows(split_rows, config, 7)
         labels = _cluster_rows(state.layer, dataset, rows, config)
-        truth = dataset.true_labels[rows]
-        mask = truth >= 0
-        if not mask.any():
-            raise ValueError(f"split {split!r} has no ground truth to score")
-        _, accuracy = hungarian_match(labels[mask], truth[mask], dataset.k)
-        return accuracy, None
+        return _accuracy(labels, dataset.true_labels[rows], split, dataset.k)
     train_rows = dataset.split_indices("train")
     labeled = dataset.labeled_indices("train")
     if labeled.size == 0:
         raise ValueError("semi-supervised evaluation needs labeled train rows")
     rows = train_rows if split == "train" else np.concatenate([train_rows, split_rows])
     phi = forward(state.layer, dataset.X[rows]).phi
-    position = np.full(dataset.n, -1, dtype=np.int64)
-    position[rows] = np.arange(rows.size)
-    labeled_pos = position[labeled]
     n_train = train_rows.size
-    # only the train rows' labels are read: by the fit, or as the train score
+    # both index lists are sorted: the labeled rows' positions among the train rows
+    labeled_pos = np.searchsorted(train_rows, labeled)
     assign = nn_propagate(phi[:n_train], labeled_pos, dataset.labels[labeled])
-    classifier = fit_final_classifier(
-        phi[:n_train], assign.labels[:n_train], config.ulr.lam, k=dataset.k
-    )
-    if split == "train":
-        pred = assign.labels
-    else:
-        pred = predict_classes(classifier, phi[n_train:])
     truth = dataset.true_labels[split_rows]
+    if split == "train":
+        return _accuracy(assign.labels, truth, split)
+    classifier = fit_final_classifier(
+        phi[:n_train], assign.labels, config.ulr.lam, k=dataset.k
+    )
+    return _accuracy(predict_classes(classifier, phi[n_train:]), truth, split)
+
+
+def _accuracy(pred, truth, split, k=None):
+    """Share of the rows with ground truth that pred gets right.
+
+    With k, pred holds cluster labels, Hungarian-matched to the k classes
+    first.  Raises ValueError when no row has ground truth.
+    """
     mask = truth >= 0
     if not mask.any():
         raise ValueError(f"split {split!r} has no ground truth to score")
-    accuracy = float(np.mean(pred[mask] == truth[mask]))
-    return accuracy, classifier
-
-
-def evaluate(state, dataset, split):
-    """Split accuracy under the current parameters.
-
-    Semi-supervised modes propagate labels over current features, fit the
-    terminal classifier on the train rows, and score the split; the
-    unsupervised mode scores a spectrally clustered evaluation batch through
-    Hungarian matching.  Deterministic: repeated calls agree exactly.
-    """
-    accuracy, _ = _evaluate_full(state, dataset, split)
-    return accuracy
+    if k is not None:
+        return hungarian_match(pred[mask], truth[mask], k)[1]
+    return float(np.mean(pred[mask] == truth[mask]))
 
 
 def _eval_rows(rows, config, stream):
@@ -519,16 +520,15 @@ def _scoreable(dataset, split):
 
 
 def _maybe_evaluate(state, dataset, metrics):
-    """Score the val split, keep the best layer and classifier, log the point."""
+    """Score the val split, keep the best layer, log the point."""
     if not _scoreable(dataset, "val"):
         return
-    accuracy, classifier = _evaluate_full(state, dataset, "val")
+    accuracy = evaluate(state, dataset, "val")
     metrics.record(state.iteration, "val", accuracy=accuracy)
     metrics.val_trajectory.append((state.iteration, accuracy))
     if state.best_layer is None or accuracy > state.best_val_accuracy:
         state.best_val_accuracy = accuracy
         state.best_layer = state.layer
-        state.classifier = classifier
         metrics.best_iteration = state.iteration
 
 
@@ -537,12 +537,13 @@ def train(dataset, config, mode="semi", listener=None):
 
     The semi and supervised modes start from the supervised initialization
     phase; every eval_every iterations the val split is scored and the best
-    layer kept, which state.best_checkpoint serializes once training ends.
-    The final labeling and test score come from the best layer.  Balancing
-    failures that survive the retry ladder raise AbortedRun carrying the
-    metrics collected so far; numeric blow-ups raise TrainingDiverged.
-    listener, when given, receives every metrics record as it is written
-    (progress reporting).
+    layer kept.  From the best layer (the last one when no val split is
+    scoreable) come the final labels, the final classifier and the test
+    score; state.best_checkpoint serializes that layer and classifier.
+    Balancing failures that survive the retry ladder raise AbortedRun
+    carrying the metrics collected so far; numeric blow-ups raise
+    TrainingDiverged.  listener, when given, receives every metrics record
+    as it is written (progress reporting).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -592,11 +593,11 @@ def train(dataset, config, mode="semi", listener=None):
         _maybe_evaluate(state, dataset, metrics)
 
     if state.best_layer is not None:
-        state.layer = state.best_layer  # state.classifier was scored with it
-        state.best_checkpoint = checkpoint_json(state.layer, state.classifier, config)
+        state.layer = state.best_layer
     if metrics.val_trajectory:
         metrics.best_val_accuracy = state.best_val_accuracy
     _finalize(state, dataset, metrics)
+    state.best_checkpoint = checkpoint_json(state.layer, state.classifier, config)
     return state, metrics
 
 
@@ -606,7 +607,12 @@ def _where_str(mask, yes, no):
 
 
 def _finalize(state, dataset, metrics):
-    """Final labels over the dataset and the test score, best parameters."""
+    """Final labels over the dataset, the final classifier and the test score.
+
+    The semi and supervised modes make one feature pass over every row: it
+    propagates the labels, fits state.classifier on the train rows and
+    scores that classifier on the test rows.
+    """
     config, mode = state.config, state.mode
     if mode == "unsupervised":
         rows = _eval_rows(dataset.split_indices("train"), config, 8)
@@ -626,10 +632,15 @@ def _finalize(state, dataset, metrics):
         visible = dataset.labels >= 0
         metrics.final_labels = np.where(visible, dataset.labels, assign.labels)
         metrics.final_sources = _where_str(visible, "ground_truth", "nearest_neighbor")
-    if _scoreable(dataset, "test"):
-        test_accuracy, _ = _evaluate_full(state, dataset, "test")
-        metrics.test_accuracy = test_accuracy
-        metrics.record(state.iteration, "test", accuracy=test_accuracy)
+    if not _scoreable(dataset, "test"):
+        return
+    if mode == "unsupervised":
+        metrics.test_accuracy = evaluate(state, dataset, "test")
+    else:
+        test = dataset.split_indices("test")
+        pred = predict_classes(state.classifier, phi[test])
+        metrics.test_accuracy = _accuracy(pred, dataset.true_labels[test], "test")
+    metrics.record(state.iteration, "test", accuracy=metrics.test_accuracy)
 
 
 # sweep stages in run order, each with the TrainConfig or UlrConfig fields

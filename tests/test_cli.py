@@ -317,6 +317,23 @@ class TestClusterCommand:
         assert events[-1]["event"] == "error"
         assert "integers" in events[-1]["message"]
 
+    @pytest.mark.parametrize("nan_pair", [True, False])
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys, nan_pair):
+        # non-finite entries used to reach eigh and k-means
+        M = np.eye(6) if nan_pair else np.full((3, 3), np.nan)
+        M[1, 2] = M[2, 1] = np.nan
+        matrix = tmp_path / "M.csv"
+        np.savetxt(matrix, M, delimiter=",")
+        out = tmp_path / "c"
+        code = cli.main([
+            "cluster", "--matrix", str(matrix), "--k", "2", "--out-dir", str(out),
+        ])
+        events = _events(capsys.readouterr().err)
+        assert code == 2
+        assert events[-1]["error"] == "ValueError"
+        assert "non-finite" in events[-1]["message"]
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path, capsys):

@@ -323,6 +323,19 @@ def test_dataset_invariant_checks():
         Dataset("d", X, [0, 0, 1], 2, np.full(4, "train"))
 
 
+def test_dataset_rejects_non_finite_features(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite.*row 2, column 1"):
+            Dataset("d", X, [0, 0, 1, 1], 2, np.full(4, "train"))
+    # a nan cell deep in a CSV stops the load, before any training step
+    p = tmp_path / "t.csv"
+    p.write_text("".join(f"{i},{i % 2}\n" for i in range(2499)) + "nan,1\n5,0\n")
+    with pytest.raises(ValueError, match="row 2499, column 0"):
+        load_csv(p, label_column=1)
+
+
 def test_dataset_subset_preserves_metadata():
     ds = make_blobs(n=50, d=2, k=2, separation=4.0, label_fraction=0.3, seed=14)
     sub = ds.subset([3, 10, 20])

@@ -58,19 +58,6 @@ def test_propagate_distance_tie_prefers_lowest_index():
     assert out.labels[1] == 3
 
 
-def test_propagate_majority_vote():
-    X = np.array([[0.0], [1.0], [2.0], [3.0], [1.4]])
-    out = nn_propagate(X, [0, 1, 2, 3], [1, 1, 0, 0], k_neighbors=3)
-    # neighbors of row 4 at distances 0.4, 0.6, 1.4: labels 1, 1, 0
-    assert out.labels[4] == 1
-
-
-def test_propagate_vote_tie_prefers_lowest_label():
-    X = np.array([[0.0], [2.0], [1.0]])
-    out = nn_propagate(X, [0, 1], [4, 1], k_neighbors=2)
-    assert out.labels[2] == 1
-
-
 def test_propagate_blocks_match_unblocked():
     # integer grid points: many exactly equal distances, across three blocks
     rng = np.random.default_rng(3)
@@ -81,18 +68,13 @@ def test_propagate_blocks_match_unblocked():
     order = np.argsort(idx, kind="stable")
     unlabeled = np.setdiff1d(np.arange(n), idx)
     d = cdist(X[unlabeled], X[idx[order]])
-    for k in (1, 3):
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-        expected = np.full(n, -1)
-        expected[idx] = lab
-        expected[unlabeled] = [
-            np.argmax(np.bincount(lab[order][cols])) for cols in nearest
-        ]
-        out = nn_propagate(X, idx, lab, k_neighbors=k)
-        assert np.array_equal(out.labels, expected)
+    expected = np.full(n, -1)
+    expected[idx] = lab
+    expected[unlabeled] = lab[order][np.argmin(d, axis=1)]
+    assert np.array_equal(nn_propagate(X, idx, lab).labels, expected)
 
 
-def _cdist_propagate(X, idx, lab, k=1):
+def _cdist_propagate(X, idx, lab):
     """nn_propagate written with scipy's cdist, the oracle it must equal."""
     order = np.argsort(idx, kind="stable")
     unlabeled = np.setdiff1d(np.arange(X.shape[0]), idx)
@@ -100,8 +82,7 @@ def _cdist_propagate(X, idx, lab, k=1):
     expected[idx] = lab
     if unlabeled.size:
         d = cdist(X[unlabeled], X[idx[order]])
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-        expected[unlabeled] = [np.argmax(np.bincount(lab[order][c])) for c in nearest]
+        expected[unlabeled] = lab[order][np.argmin(d, axis=1)]
     return expected
 
 
@@ -122,9 +103,8 @@ def test_propagate_matches_cdist_oracle(p):
         if case % 4 == 2 and m >= 2:
             X[idx[1]] = X[idx[0]]
         lab = rng.integers(0, 4, size=m)
-        for k in (1, min(3, m)):
-            expected = _cdist_propagate(X, idx, lab, k)
-            assert np.array_equal(nn_propagate(X, idx, lab, k_neighbors=k).labels, expected)
+        expected = _cdist_propagate(X, idx, lab)
+        assert np.array_equal(nn_propagate(X, idx, lab).labels, expected)
 
 
 def test_propagate_rejects_non_finite_features():
@@ -143,8 +123,6 @@ def test_propagate_validation():
         nn_propagate(X, [0, 1], [0])
     with pytest.raises(ValueError):
         nn_propagate(X, [7], [0])
-    with pytest.raises(ValueError):
-        nn_propagate(X, [0, 1], [0, 1], k_neighbors=3)
 
 
 # ------------------------------------------------------------------- spectral
@@ -204,6 +182,15 @@ def test_spectral_validation():
         spectral_cluster(np.eye(3), k=0)
     with pytest.raises(ValueError):
         spectral_cluster(np.eye(3), k=4)
+
+
+def test_spectral_rejects_non_finite_matrix():
+    # non-finite entries used to reach eigh and k-means
+    M = np.eye(6)
+    M[1, 4] = M[4, 1] = np.nan
+    for bad in (M, np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_cluster(bad, k=2)
 
 
 def _kmeans_oracle(X, k, seed):
@@ -381,4 +368,4 @@ def test_classifier_validation():
 
 def test_assignment_dataclass_defaults():
     a = LabelAssignment(labels=np.arange(3), source="ground_truth")
-    assert a.matched_accuracy is None
+    assert a.source == "ground_truth" and np.array_equal(a.labels, np.arange(3))

@@ -1,11 +1,10 @@
-"""Core linear algebra: centering, ridge closed form, coupling matrix,
+"""Core linear algebra: ridge closed form, coupling matrix,
 inverse square root."""
 
 import numpy as np
 import pytest
 
 from xsdc.linalg import (
-    center_rows,
     newton_inv_sqrt,
     newton_inv_sqrt_cached,
     newton_inv_sqrt_vjp,
@@ -16,30 +15,6 @@ from xsdc.linalg import (
 
 def centering_projector(n):
     return np.eye(n) - np.ones((n, n)) / n
-
-
-class TestCenterRows:
-    def test_matches_materialized_projector(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(7, 3))
-        assert np.allclose(center_rows(X), centering_projector(7) @ X, atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(5, 4))
-        once = center_rows(X)
-        assert np.max(np.abs(center_rows(once) - once)) <= 1e-12
-
-    def test_column_means_zero(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(11, 6)) + 3.0
-        assert np.max(np.abs(center_rows(X).mean(axis=0))) <= 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            center_rows(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            center_rows(np.zeros((3, 0)))
 
 
 class TestRidgeSolve:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import xsdc.trainer
 import xsdc.ulr
 from xsdc.data import make_blobs
 from xsdc.errors import AbortedRun, TrainingDiverged
+from xsdc.features import forward
+from xsdc.labeling import predict_classes
 from xsdc.linalg import ridge_kernel
 from xsdc.trainer import (
     OBJECTIVE_CEILING,
@@ -116,12 +119,12 @@ def test_best_checkpoint_tracks_max_val_accuracy():
 
 def test_best_checkpoint_serialized_once(monkeypatch):
     # val accuracy rises at every evaluation, so the best moves each time
-    evaluate_full = xsdc.trainer._evaluate_full
+    evaluate_split = xsdc.trainer.evaluate
     rising = iter(np.linspace(0.1, 0.9, 50))
 
     def scored(state, dataset, split):
-        accuracy, classifier = evaluate_full(state, dataset, split)
-        return (next(rising) if split == "val" else accuracy), classifier
+        accuracy = evaluate_split(state, dataset, split)
+        return next(rising) if split == "val" else accuracy
 
     serialize = xsdc.trainer.checkpoint_json
     calls = []
@@ -130,7 +133,7 @@ def test_best_checkpoint_serialized_once(monkeypatch):
         calls.append(classifier)
         return serialize(layer, classifier, config)
 
-    monkeypatch.setattr(xsdc.trainer, "_evaluate_full", scored)
+    monkeypatch.setattr(xsdc.trainer, "evaluate", scored)
     monkeypatch.setattr(xsdc.trainer, "checkpoint_json", counted)
     state, metrics = train(_blobs(), _small_config(), mode="semi")
     assert len(metrics.val_trajectory) >= 3
@@ -139,6 +142,33 @@ def test_best_checkpoint_serialized_once(monkeypatch):
     layer, classifier, _ = load_checkpoint(state.best_checkpoint)
     assert np.array_equal(layer.landmarks, state.best_layer.landmarks)
     assert np.array_equal(classifier.weights, calls[0].weights)
+
+
+def _assert_checkpoint_holds_final_model(state):
+    layer, classifier, _ = load_checkpoint(state.best_checkpoint)
+    assert np.array_equal(layer.landmarks, state.layer.landmarks)
+    assert np.array_equal(classifier.weights, state.classifier.weights)
+    assert np.array_equal(classifier.intercept, state.classifier.intercept)
+    return layer, classifier
+
+
+def test_checkpoint_holds_the_classifier_test_accuracy_scores():
+    ds = _blobs()
+    state, metrics = train(ds, _small_config(), mode="semi")
+    assert np.array_equal(state.layer.landmarks, state.best_layer.landmarks)
+    layer, classifier = _assert_checkpoint_holds_final_model(state)
+    test = ds.split_indices("test")
+    pred = predict_classes(classifier, forward(layer, ds.X).phi[test])
+    truth = ds.true_labels[test]
+    assert metrics.test_accuracy == np.mean(pred[truth >= 0] == truth[truth >= 0])
+
+
+def test_run_without_val_split_gets_checkpoint():
+    ds = _blobs()
+    ds = replace(ds, split=np.where(ds.split == "val", "train", ds.split))
+    state, metrics = train(ds, _small_config(), mode="semi")
+    assert not metrics.val_trajectory and state.best_layer is None
+    _assert_checkpoint_holds_final_model(state)
 
 
 def test_reproducible_across_runs():
