@@ -70,8 +70,12 @@ def project_box(x, n_sigma, n_delta):
 def _pin_list(known, n):
     """Validate (i, j, m) triples into the row-major pin list (rows, cols, values).
 
-    The first offending triple in input order is reported; for that triple
-    the checks run in the order listed below.
+    Each triple's key 2 (i n + j) + (m == 1) carries its value in the low
+    bit.  One sort of the keys puts duplicates next to each other and shows
+    a conflict as a change of that bit within one entry; the known set is
+    closed under transposition exactly when its sorted mirror keys equal the
+    distinct keys.  The first offending triple in input order is reported;
+    for that triple the checks run in the order listed below.
     """
     known = np.asarray(known, dtype=np.float64).reshape(-1, 3)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
@@ -79,47 +83,39 @@ def _pin_list(known, n):
     m = known[:, 2]
     whole = (i == known[:, 0]) & (j == known[:, 1])
     in_range = whole & (0 <= i) & (i < n) & (0 <= j) & (j < n)
-    # a triple conflicts when the first triple at its entry pins another value
-    keys, first, inverse = np.unique(
-        np.where(in_range, i * n + j, -1), return_index=True, return_inverse=True
-    )
-    checks = (
+    entry = np.where(in_range, i * n + j, -1)
+    tag = m == 1.0
+    keys = np.sort(2 * entry + tag)
+    keys = keys[np.diff(keys, prepend=keys[:1] - 1) > 0]  # the distinct keys
+    checks = [
         (~whole, "known entry ({i}, {j}) needs finite integer indices"),
         (~in_range, "known entry ({i}, {j}) out of range for n={n}"),
         ((m != 0.0) & (m != 1.0), "known value must be 0 or 1, got {m} at ({i}, {j})"),
         ((i == j) & (m == 0.0), "diagonal entry ({i}, {i}) pinned to 0 is infeasible"),
-        (m != m[first[inverse]], "conflicting known values at ({i}, {j})"),
-    )
-    failed = np.array([bad for bad, _ in checks])
-    if failed.any():
+    ]
+    if any(bad.any() for bad, _ in checks) or np.any(keys[1:] >> 1 == keys[:-1] >> 1):
+        # a triple conflicts when the first triple at its entry pins another value
+        _, first, inverse = np.unique(entry, return_index=True, return_inverse=True)
+        checks.append((m != m[first[inverse]], "conflicting known values at ({i}, {j})"))
+        failed = np.array([bad for bad, _ in checks])
         t = int(np.argmax(failed.any(axis=0)))
         message = checks[int(np.argmax(failed[:, t]))][1]
         a, b = (int(x) if whole[t] else float(x) for x in known[t, :2])
         raise ValueError(message.format(i=a, j=b, m=float(m[t]), n=n))
-    rows, cols = np.divmod(keys, n)
-    values = m[first]
-    # the keys are distinct and row-major, so a stable sort by column lists
-    # the mirrors row-major; int16 keys take numpy's radix sort
-    order = np.argsort(cols.astype(np.int16) if n <= 32767 else cols, kind="stable")
-    if not (
-        np.array_equal(rows[order], cols)
-        and np.array_equal(cols[order], rows)
-        and np.array_equal(values[order], values)
-    ):
-        # an entry is open when its mirror key is absent or pins another value
-        mirror = cols * n + rows
+    rows, cols = np.divmod(keys >> 1, n)
+    bit = keys & 1
+    if not np.array_equal(np.sort(2 * (cols * n + rows) + bit), keys):
+        # a triple is open when its mirror, tagged with its value, is absent
+        mirror = 2 * (j * n + i) + tag
         at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-        open_entry = ((keys[at] != mirror) | (values[at] != values))[inverse]
-        t = int(np.argmax(open_entry))
-        raise ValueError(
-            f"known set not closed under transposition at ({i[t]}, {j[t]})"
-        )
+        t = int(np.argmax(keys[at] != mirror))
+        raise ValueError(f"known set not closed under transposition at ({i[t]}, {j[t]})")
     pinned = np.zeros(n, dtype=bool)
     pinned[rows[rows == cols]] = True
     if m.size and not pinned.all():
         d = int(np.argmin(pinned))
         raise ValueError(f"diagonal entry ({d}, {d}) must be pinned to 1")
-    return rows, cols, values
+    return rows, cols, bit.astype(np.float64)
 
 
 @dataclass
@@ -130,10 +126,11 @@ class BalancingProblem:
     ----------
     A : (n, n) coupling cost
     known : (i, j, m) pinned entries with m in {0, 1}, as a list of triples
-        or an (m, 3) array; must contain the full diagonal (i, i, 1) and be
-        closed under transposition.  Duplicates are allowed when they agree.
-        An empty list is the pure-transport mode used by the Sinkhorn tests.
-        Validation stores them as pins = (rows, cols, values), each distinct
+        or an (m, 3) float or int array; the indices must be finite
+        integers.  Must contain the full diagonal (i, i, 1) and be closed
+        under transposition; duplicates are allowed when they agree.  An
+        empty list is the pure-transport mode used by the Sinkhorn tests.
+        _pin_list stores them as pins = (rows, cols, values), each distinct
         pinned entry once in row-major order; no (n, n) array is kept.
     n_min, n_max : bounds on every row and column sum
     mu : entropy weight; None means default_mu(A)

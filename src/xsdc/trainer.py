@@ -6,8 +6,9 @@ entropic balancing of the batch agreement matrix under the known entries
 (pinned diagonal, same-label pairs, injected pair constraints), and one
 landmark gradient step on the closed-form ridge objective.  Both read the
 batch's ridge kernel A(phi), which the step builds once and hands to
-balancing and to the gradient step alike.  _batch_known gives each batch's
-known entries as one array, which BalancingProblem validates into a sorted
+balancing and to the gradient step alike.  _batch_pairs finds a batch's
+constraint pairs once per step; _batch_known adds the diagonal and the
+labeled pairs in one array that BalancingProblem validates into a sorted
 pin list.  Fully labeled batches skip balancing: their agreement matrix is
 determined by the labels, so a step on them is plain supervised training.
 
@@ -104,11 +105,15 @@ class TrainConfig:
             raise ValueError(f"mu must be positive, got {self.mu}")
         seen = {}
         for triple in self.constraints:
-            i, j, v = int(triple[0]), int(triple[1]), float(triple[2])
-            if (i, j) != (triple[0], triple[1]):
+            try:
+                a, b, v = triple
+                i, j, v = int(a), int(b), float(v)
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(
-                    f"constraint indices must be integers, got {tuple(triple)}"
-                )
+                    f"constraint must be a finite (i, j, value) triple, got {triple!r}"
+                ) from None
+            if (i, j) != (a, b) or max(abs(i), abs(j)) >= 2**63:
+                raise ValueError(f"constraint indices must be int64 integers, got {(a, b)}")
             if i == j:
                 raise ValueError(f"constraint ({i}, {j}) must join distinct rows")
             if v not in (0.0, 1.0):
@@ -309,15 +314,15 @@ def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, sp
     X = dataset.X[rows]
     feats = A = None
     mu = marginal_violation = rounds = float("nan")
+    pairs, values = _batch_pairs(rows, constraints, dataset.n)
     try:
         if np.all(batch_labels >= 0):
             # labels pin every entry: balancing has nothing left to do
             M = _agreement(batch_labels)
-            pairs, values = _batch_pairs(rows, constraints, dataset.n)
         else:
             feats = forward(state.layer, X)
             A = ridge_kernel(feats.phi, step_cfg.lam)
-            known, pairs, values = _batch_known(batch_labels, rows, constraints, dataset.n)
+            known = _batch_known(batch_labels, pairs, values)
             try:
                 balanced = _balance(A, known, state.config, dataset.k)
             except BalancingDivergence as err:
@@ -415,29 +420,27 @@ def _eval_rows(rows, config, stream):
 def _cluster_rows(layer, dataset, rows, config):
     """Balance the agreement matrix of the given rows and cluster it."""
     A = ridge_kernel(forward(layer, dataset.X[rows]).phi, config.ulr.lam)
-    known, _, _ = _batch_known(np.full(rows.size, -1), rows, _NO_CONSTRAINTS, dataset.n)
+    no_labels = np.full(rows.size, -1)
+    known = _batch_known(no_labels, _NO_CONSTRAINTS[:, :2], _NO_CONSTRAINTS[:, 2])
     result = _balance(A, known, config, dataset.k)
     return spectral_cluster(result.M, dataset.k, seed=config.seed).labels
 
 
-def _batch_known(batch_labels, rows, constraints, n):
+def _batch_known(batch_labels, pairs, values):
     """Pinned entries of one batch as an (m, 3) array of (i, j, value) rows.
 
     Pins the diagonal, every pair of labeled rows to its label agreement and,
-    in both orientations, each constraint whose two rows are in the batch;
-    constraints holds (i, j, value) int rows over a dataset of n rows.  Also
-    returns the batch positions (c, 2) and the values of those constraints.
+    in both orientations, each constraint pair inside the batch: pairs holds
+    their batch positions (c, 2) and values their 0/1 values, as
+    _batch_pairs gives them.
     """
-    b = rows.size
     labeled = np.flatnonzero(batch_labels >= 0)
-    pos, values = _batch_pairs(rows, constraints, n)
-    diagonal = np.arange(b)
-    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pos[:, 0], pos[:, 1]])
-    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pos[:, 1], pos[:, 0]])
-    m = np.concatenate(
-        [np.ones(b), _agreement(batch_labels[labeled]).ravel(), values, values]
-    )
-    return np.column_stack([i, j, m]), pos, values
+    diagonal = np.arange(batch_labels.size)
+    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), *pairs.T])
+    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), *pairs.T[::-1]])
+    agree = _agreement(batch_labels[labeled]).ravel()
+    m = np.concatenate([np.ones(diagonal.size), agree, values, values])
+    return np.column_stack([i, j, m])
 
 
 def _batch_pairs(rows, constraints, n):

@@ -143,6 +143,21 @@ class TestTrainCommand:
         ) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "entry", [[1, 2], [float("inf"), 2, 1], [0, 1, 1, 7], [1e30, 2, 1]]
+    )
+    def test_malformed_constraint_is_a_usage_error(self, tmp_path, capsys, entry):
+        # these used to exit 1 with a traceback, or be re-chunked into triples
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["train"]["constraints"] = [entry]
+        config.write_text(json.dumps(doc))  # inf is written as Infinity
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert events[-1]["event"] == "error"
+        assert events[-1]["error"] == "ValueError"
+        assert "constraint" in events[-1]["message"]
+
     def test_divergence_exits_three(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         doc = _write_config(config, tmp_path / "out")

@@ -66,8 +66,7 @@ def _pinned_batch():
     _, _, feats = _batch()
     rng = np.random.default_rng(2)
     labels = np.where(rng.random(B) < 0.1, rng.integers(0, 4, size=B), -1)
-    rows = np.arange(B)
-    known, _, _ = _batch_known(labels, rows, np.zeros((0, 3), dtype=np.int64), B)
+    known = _batch_known(labels, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     return ridge_kernel(feats.phi, LAM), known
 
 

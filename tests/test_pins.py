@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from xsdc.balancing import BalancingProblem, _pin_list
-from xsdc.trainer import _batch_known
+from xsdc.trainer import _batch_known, _batch_pairs
 
 
 def oracle_normalize_known(known, n):
@@ -106,9 +106,10 @@ def test_batch_pins_match_triple_lists(label_share):
         rows = rng.choice(n, size=int(rng.integers(2, 40)), replace=False)
         batch_labels = labels[rows]
         old_known, old_pairs = oracle_batch_known(batch_labels, rows, constraints)
-        known, pos, values = _batch_known(
-            batch_labels, rows, np.array(constraints, dtype=np.int64).reshape(-1, 3), n
+        pos, values = _batch_pairs(
+            rows, np.array(constraints, dtype=np.int64).reshape(-1, 3), n
         )
+        known = _batch_known(batch_labels, pos, values)
         problem = BalancingProblem(np.zeros((rows.size,) * 2), known, 1.0, 1.0)
         assert_pins_match(problem, *oracle_arrays(old_known, rows.size))
         pairs = [(int(i), int(j), float(v)) for (i, j), v in zip(pos, values)]
@@ -153,14 +154,19 @@ FAILURES = (
 )
 
 
-@pytest.mark.parametrize("form", ["list", "array"])
+@pytest.mark.parametrize("form", ["list", "array", "int64"])
 def test_validation_matches_dict_code(form):
+    # int64 is the form the trainer hands in; it takes the integral cases only
     rng = np.random.default_rng(1)
     outcomes = set()
     for _ in range(400):
         n = int(rng.integers(1, 7))
         known = corrupted_known(rng, n)
         given = known if form == "list" else np.array(known).reshape(-1, 3)
+        if form == "int64":
+            if not np.array_equal(given, np.round(given)):
+                continue
+            given = given.astype(np.int64)
         try:
             expected = oracle_arrays(known, n)
         except ValueError as err:
@@ -176,7 +182,7 @@ def test_validation_matches_dict_code(form):
 
 
 def test_transposition_check_on_int64_columns():
-    """Above 32767 rows the column sort runs on the int64 columns."""
+    """At n = 40,000 the tagged keys 2 (i n + j) + tag pass 2**31."""
     n = 40000
     diagonal = [(i, i, 1.0) for i in range(n)]
     pairs = [(5, n - 1, 0.0), (n - 1, 5, 0.0), (7, 9, 1.0), (9, 7, 1.0)]
@@ -191,6 +197,21 @@ def test_transposition_check_on_int64_columns():
         with pytest.raises(ValueError) as expected:
             oracle_normalize_known(known, n)
         assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_mirror_pinning_another_value_is_open(n):
+    """A pair whose two orientations pin different values is not closed."""
+    diagonal = [(i, i, 1.0) for i in range(n)]
+    for pair in ([(0, n - 1, 1.0), (n - 1, 0, 0.0)], [(n - 1, 0, 0.0), (0, n - 1, 1.0)]):
+        for known in (diagonal + pair, pair + diagonal):
+            with pytest.raises(ValueError) as expected:
+                oracle_normalize_known(known, n)
+            assert "not closed" in str(expected.value)
+            for form in (list, np.array):
+                with pytest.raises(ValueError) as caught:
+                    _pin_list(form(known), n)
+                assert str(caught.value) == str(expected.value)
 
 
 @pytest.mark.parametrize(

@@ -468,6 +468,27 @@ def test_train_config_validation():
         TrainConfig.from_dict({"constraints": [[0.9, 2, 1]]})
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1, 2]], "finite"),
+        ([[float("inf"), 2, 1]], "finite"),
+        ([[float("nan"), 2, 1]], "finite"),
+        ([[0, 1, 1, 7], [2, 3, 0, 9], [4, 5, 1, 0]], "finite"),  # once re-chunked
+        ([5], "finite"),
+        (["abc"], "finite"),
+        ([[10**30, 2, 1]], "int64"),
+        ([[1e30, 2, 1]], "int64"),
+        ([[2**63, 2, 1]], "int64"),
+    ],
+    ids=["short", "inf", "nan", "long", "scalar", "string", "huge", "huge-float", "pow63"],
+)
+def test_malformed_constraint_entries_rejected(entries, message):
+    # these used to raise IndexError or OverflowError, or be accepted
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(constraints=entries)
+
+
 def test_train_mode_validation():
     ds = _blobs()
     with pytest.raises(ValueError):
