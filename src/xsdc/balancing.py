@@ -1,8 +1,8 @@
 """Constrained entropic matrix balancing.
 
 Given a coupling cost A, the solver finds a nonnegative matrix M close to a
-prior M0 that trades off tr(M A) against a relative-entropy penalty with
-weight mu, subject to
+constant prior that trades off tr(M A) against a relative-entropy penalty
+with weight mu, subject to
 
   * pinned entries M_ij = m_ij on a known set (label agreements and the
     diagonal), and
@@ -136,9 +136,8 @@ class BalancingProblem:
     mu : entropy weight; None means default_mu(A)
     iters : cap on the alternating rounds; balance stops earlier once the
         marginals hold (see balance)
-    M0 : prior matrix; None means the constant 1/k when num_clusters is
-        given, and the constant n_sigma/n otherwise (see prior)
-    num_clusters : optional cluster count, used only for the default prior
+    num_clusters : optional cluster count; the prior is the constant 1/k
+        when it is given and n_sigma/n otherwise (see prior)
     """
 
     A: np.ndarray
@@ -147,7 +146,6 @@ class BalancingProblem:
     n_max: float
     mu: float = None
     iters: int = 10
-    M0: np.ndarray = None
     num_clusters: int = None
     pins: tuple = field(init=False, repr=False)
 
@@ -157,8 +155,7 @@ class BalancingProblem:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if not np.all(np.isfinite(self.A)):
             raise ValueError("A has non-finite entries")
-        n = self.A.shape[0]
-        self.pins = _pin_list(self.known, n)
+        self.pins = _pin_list(self.known, self.A.shape[0])
         self.n_min = float(self.n_min)
         self.n_max = float(self.n_max)
         if not 0 <= self.n_min <= self.n_max:
@@ -171,12 +168,6 @@ class BalancingProblem:
             raise ValueError(f"iters must be at least 1, got {self.iters}")
         if self.num_clusters is not None and int(self.num_clusters) < 1:
             raise ValueError(f"num_clusters must be positive, got {self.num_clusters}")
-        if self.M0 is not None:
-            self.M0 = np.asarray(self.M0, dtype=np.float64)
-            if self.M0.shape != (n, n):
-                raise ValueError(f"M0 must be {n} x {n}, got {self.M0.shape}")
-            if not np.all(self.M0 > 0):
-                raise ValueError("M0 must be entrywise positive")
 
     @property
     def size(self):
@@ -191,9 +182,7 @@ class BalancingProblem:
         return 0.5 * (self.n_max - self.n_min)
 
     def prior(self):
-        """M0, or the constant default prior as a scalar (no (n, n) fill)."""
-        if self.M0 is not None:
-            return self.M0
+        """The constant prior as a scalar (no (n, n) fill)."""
         if self.num_clusters is not None:
             return 1.0 / self.num_clusters
         return self.n_sigma / self.size

@@ -92,11 +92,10 @@ def _load_run_config(args):
             f"got {doc.get('format_version')!r}"
         )
     mode = doc.get("mode", "semi")
-    config = TrainConfig.from_dict(doc.get("train", {}))
+    train_doc = doc.get("train", {})
     if getattr(args, "seed_override", None) is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=int(args.seed_override))
+        train_doc = {**train_doc, "seed": args.seed_override}
+    config = TrainConfig.from_dict(train_doc)
     out_dir = getattr(args, "out_dir", None) or doc.get("output_dir")
     if not out_dir:
         raise ValueError("no output directory (config output_dir or --out-dir)")

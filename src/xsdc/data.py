@@ -15,6 +15,17 @@ SPLIT_TAGS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
+def whole_number(name, value, minimum):
+    """value as a Python int of at least minimum, else ValueError; integral
+    floats (50.0) and numpy integers pass, fractions (32.7), NaN and inf fail."""
+    try:
+        if int(value) == value and value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+
+
 @dataclass
 class Dataset:
     name: str
@@ -47,9 +58,7 @@ class Dataset:
             raise ValueError("split must have one tag per row")
         if not set(np.unique(self.split)) <= set(SPLIT_TAGS):
             raise ValueError(f"split tags must be from {SPLIT_TAGS}")
-        self.k = int(self.k)
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        self.k = whole_number("k", self.k, 1)
         for vec, what in ((self.labels, "labels"), (self.true_labels, "true_labels")):
             if vec.size and (vec.min() < -1 or vec.max() >= self.k):
                 raise ValueError(f"{what} must lie in [-1, {self.k})")
@@ -146,7 +155,7 @@ def load_csv(path, label_column=None, header=False, k=None, name=None):
     X = np.array(rows, dtype=np.float64)
     if label_column is None:
         lab = np.full(X.shape[0], -1, dtype=np.int64)
-        k = int(k) if k is not None else 1
+        k = whole_number("k", k, 1) if k is not None else 1
     else:
         lab = np.array(labels, dtype=np.int64)
         if lab.max(initial=-1) < 0 and k is None:
@@ -154,7 +163,7 @@ def load_csv(path, label_column=None, header=False, k=None, name=None):
         if lab.min(initial=0) < -1:
             first = int(np.flatnonzero(lab < -1)[0])
             raise ParseError(f"negative label in data row {first + 1}")
-        k = int(k) if k is not None else int(lab.max()) + 1
+        k = whole_number("k", k, 1) if k is not None else int(lab.max()) + 1
         if lab.max(initial=-1) >= k:
             raise ParseError(f"label {int(lab.max())} outside [0, {k})")
     return Dataset(
@@ -311,11 +320,9 @@ def make_blobs(n, d, k, separation, label_fraction, seed=0):
     among train rows only a stratified `label_fraction` is kept, at least one
     per class whenever the fraction is positive.
     """
-    n, d, k = int(n), int(d), int(k)
-    if not n >= k >= 1:
+    n, d, k = (whole_number(name, v, 1) for name, v in (("n", n), ("d", d), ("k", k)))
+    if n < k:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    if d < 1:
-        raise ValueError("d must be positive")
     if separation < 0:
         raise ValueError("separation must be nonnegative")
     if not 0.0 <= label_fraction <= 1.0:

@@ -23,6 +23,7 @@ import numpy as np
 from dataclasses import dataclass, field, fields, replace
 
 from .balancing import BalancingProblem, balance_doubling
+from .data import whole_number
 from .errors import AbortedRun, BalancingDivergence, TrainingDiverged
 from .features import NystromLayer, forward, init_landmarks
 from .labeling import (
@@ -40,6 +41,13 @@ CHECKPOINT_VERSION = 1
 MAX_MU_DOUBLINGS = 20
 OBJECTIVE_CEILING = 1e12
 _NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
+
+
+# the integer settings and their minimums; TrainConfig stores each as a Python int
+_INTEGER_MINIMUMS = dict(
+    num_landmarks=1, batch_size=2, supervised_init_iters=0, main_iters=0, eval_every=1,
+    balance_iters=1, seed=0, eval_batch_size=2, newton_iters=1,
+)
 
 
 @dataclass
@@ -73,15 +81,8 @@ class TrainConfig:
     newton_iters: int = 20
 
     def __post_init__(self):
-        if int(self.batch_size) < 2:
-            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        for name in ("supervised_init_iters", "main_iters"):
-            if int(getattr(self, name)) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if int(self.eval_every) < 1:
-            raise ValueError("eval_every must be at least 1")
-        if int(self.eval_batch_size) < 2:
-            raise ValueError("eval_batch_size must be at least 2")
+        for name, minimum in _INTEGER_MINIMUMS.items():
+            setattr(self, name, whole_number(name, getattr(self, name), minimum))
         if self.labeled_batch_fraction is not None and not (
             0.0 < float(self.labeled_batch_fraction) <= 1.0
         ):
@@ -252,7 +253,7 @@ def _balance(A, known, config, k):
 
 
 def _build_layer(X_train, config):
-    p = min(int(config.num_landmarks), X_train.shape[0])
+    p = min(config.num_landmarks, X_train.shape[0])
     base = init_landmarks(X_train, p, seed=config.seed)
     return NystromLayer(
         landmarks=base.landmarks,
@@ -295,8 +296,8 @@ def supervised_init(state, dataset, config, metrics=None):
     )
     step_cfg = replace(config.ulr, learning_rate=lr)
     sampler = _PoolSampler(labeled, state.rng)
-    m = min(int(config.batch_size), labeled.size)
-    for _ in range(int(config.supervised_init_iters)):
+    m = min(config.batch_size, labeled.size)
+    for _ in range(config.supervised_init_iters):
         rows = sampler.draw(m)
         _step(state, dataset, rows, dataset.labels[rows], _NO_CONSTRAINTS,
               step_cfg, metrics, "init")
@@ -359,8 +360,7 @@ def evaluate(state, dataset, split):
 
     Semi-supervised modes normalize the features over the train rows plus
     the split's rows, propagate labels over the train rows, fit the terminal
-    classifier on them and score its predictions on the split; the "train"
-    split scores the propagated labels and fits no classifier.  The
+    classifier on them and score its predictions on the split.  The
     unsupervised mode scores a spectrally clustered evaluation batch through
     Hungarian matching.  Deterministic: repeated calls agree exactly.
 
@@ -380,19 +380,16 @@ def evaluate(state, dataset, split):
     labeled = dataset.labeled_indices("train")
     if labeled.size == 0:
         raise ValueError("semi-supervised evaluation needs labeled train rows")
-    rows = train_rows if split == "train" else np.concatenate([train_rows, split_rows])
-    phi = forward(state.layer, dataset.X[rows]).phi
+    phi = forward(state.layer, dataset.X[np.concatenate([train_rows, split_rows])]).phi
     n_train = train_rows.size
     # both index lists are sorted: the labeled rows' positions among the train rows
     labeled_pos = np.searchsorted(train_rows, labeled)
     assign = nn_propagate(phi[:n_train], labeled_pos, dataset.labels[labeled])
-    truth = dataset.true_labels[split_rows]
-    if split == "train":
-        return _accuracy(assign.labels, truth, split)
     classifier = fit_final_classifier(
         phi[:n_train], assign.labels, config.ulr.lam, k=dataset.k
     )
-    return _accuracy(predict_classes(classifier, phi[n_train:]), truth, split)
+    pred = predict_classes(classifier, phi[n_train:])
+    return _accuracy(pred, dataset.true_labels[split_rows], split)
 
 
 def _accuracy(pred, truth, split, k=None):
@@ -514,7 +511,7 @@ def _labeled_batch_size(config, n_labeled, n_unlabeled):
     m = math.ceil(frac * config.batch_size)
     if n_labeled >= 2:
         m = max(2, m)  # keep pinned pairs in every batch
-    return min(m, int(config.batch_size), n_labeled)
+    return min(m, config.batch_size, n_labeled)
 
 
 def _scoreable(dataset, split):
@@ -576,23 +573,23 @@ def train(dataset, config, mode="semi", listener=None):
     lab_sampler = _PoolSampler(labeled, state.rng)
     unlab_sampler = _PoolSampler(unlabeled, state.rng)
     if mode == "supervised":
-        lab_m = min(int(config.batch_size), labeled.size)
+        lab_m = min(config.batch_size, labeled.size)
         unlab_m = 0
     else:
         lab_m = _labeled_batch_size(config, labeled.size, unlabeled.size)
-        unlab_m = min(int(config.batch_size) - lab_m, unlabeled.size)
+        unlab_m = min(config.batch_size - lab_m, unlabeled.size)
     if lab_m + unlab_m < 2:
         raise ValueError("batch composition leaves fewer than 2 rows")
 
     _maybe_evaluate(state, dataset, metrics)
-    for _ in range(int(config.main_iters)):
+    for _ in range(config.main_iters):
         rows = np.concatenate([lab_sampler.draw(lab_m), unlab_sampler.draw(unlab_m)])
         # unsupervised: every row counts as unlabeled, visible label or not
         batch_labels = np.full(rows.size, -1) if mode == "unsupervised" else dataset.labels[rows]
         _step(state, dataset, rows, batch_labels, constraints, config.ulr, metrics, "batch")
-        if state.iteration % int(config.eval_every) == 0:
+        if state.iteration % config.eval_every == 0:
             _maybe_evaluate(state, dataset, metrics)
-    if int(config.main_iters) and state.iteration % int(config.eval_every):
+    if config.main_iters and state.iteration % config.eval_every:
         _maybe_evaluate(state, dataset, metrics)
 
     if state.best_layer is not None:
@@ -656,24 +653,6 @@ _SWEEP_FIELDS = {
     "rho": ("rho",),
     "alpha": ("alpha",),
 }
-_SWEEP_STAGES = tuple(_SWEEP_FIELDS)
-
-
-def _sweep_settings(stage, value):
-    names = _SWEEP_FIELDS[stage]
-    values = value if len(names) > 1 else (value,)
-    return {name: float(v) for name, v in zip(names, values, strict=True)}
-
-
-def _apply_sweep_value(config, stage, value):
-    settings = _sweep_settings(stage, value)
-    ulr = {k: v for k, v in settings.items() if k in _CONFIG_ULR}
-    top = {k: v for k, v in settings.items() if k not in _CONFIG_ULR}
-    return replace(config, ulr=replace(config.ulr, **ulr), **top)
-
-
-def _format_sweep_value(stage, value):
-    return ":".join(f"{v:g}" for v in _sweep_settings(stage, value).values())
 
 
 def sweep(dataset, grids, config, mode="semi"):
@@ -687,7 +666,7 @@ def sweep(dataset, grids, config, mode="semi"):
     """
     if not isinstance(grids, dict) or not grids:
         raise ValueError("grids must be a nonempty dict of parameter lists")
-    unknown = set(grids) - set(_SWEEP_STAGES)
+    unknown = set(grids) - set(_SWEEP_FIELDS)
     if unknown:
         raise ValueError(f"unknown sweep parameters: {sorted(unknown)}")
     for stage, values in grids.items():
@@ -695,20 +674,23 @@ def sweep(dataset, grids, config, mode="semi"):
             raise ValueError(f"empty grid for {stage!r}")
     best = config
     rows = []
-    for stage in _SWEEP_STAGES:
+    for stage, names in _SWEEP_FIELDS.items():
         if stage not in grids:
             continue
-        scores = []
+        scores, candidates = [], []
         for value in grids[stage]:
-            candidate = _apply_sweep_value(best, stage, value)
+            values = value if len(names) > 1 else (value,)
+            settings = {name: float(v) for name, v in zip(names, values, strict=True)}
+            candidate = TrainConfig.from_dict({**best.to_dict(), **settings})
             try:
                 _, metrics = train(dataset, candidate, mode=mode)
                 accuracy = metrics.best_val_accuracy
             except (TrainingDiverged, AbortedRun):
                 accuracy = float("nan")
             scores.append(accuracy)
-            rows.append((stage, _format_sweep_value(stage, value), accuracy))
+            candidates.append(candidate)
+            rows.append((stage, ":".join(f"{v:g}" for v in settings.values()), accuracy))
         if np.all(np.isnan(scores)):
             raise ValueError(f"every candidate diverged in stage {stage!r}")
-        best = _apply_sweep_value(best, stage, grids[stage][int(np.nanargmax(scores))])
+        best = candidates[int(np.nanargmax(scores))]
     return best, rows

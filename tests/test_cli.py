@@ -144,6 +144,24 @@ class TestTrainCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "key, value", [("balance_iters", 0), ("batch_size", 32.7), ("main_iters", 5.5)]
+    )
+    def test_invalid_integer_setting_exits_before_training(
+        self, tmp_path, capsys, key, value
+    ):
+        # balance_iters 0 used to fail after two init steps as TrainingDiverged
+        # (exit 3); 32.7 and 5.5 used to train at 32 and 5 and record 32.7 and 5.5
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["train"][key] = value
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["error"] == "ValueError"
+        assert events[0]["message"].startswith(f"{key} must be a whole number")
+
+    @pytest.mark.parametrize(
         "entry", [[1, 2], [float("inf"), 2, 1], [0, 1, 1, 7], [1e30, 2, 1]]
     )
     def test_malformed_constraint_is_a_usage_error(self, tmp_path, capsys, entry):

@@ -255,6 +255,27 @@ def test_blobs_validation():
         make_blobs(10, 2, 2, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("name", ["n", "d", "k"])
+def test_blobs_sizes_must_be_whole(name):
+    # make_blobs(n=400.7, d=3.9, k=2.5) used to build a 400 x 3 dataset with k = 2
+    sizes = dict(n=40, d=3, k=2)
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        make_blobs(**{**sizes, name: sizes[name] + 0.5}, separation=1.0, label_fraction=0.5)
+    ds = make_blobs(**{**sizes, name: float(sizes[name])}, separation=1.0, label_fraction=0.5)
+    assert (ds.n, ds.d, ds.k) == (40, 3, 2)
+
+
+def test_fractional_k_rejected(tmp_path):
+    # k = 2.5 used to be truncated to 2
+    with pytest.raises(ValueError, match="^k must be a whole number"):
+        Dataset("d", np.zeros((4, 2)), [0, 1, 0, 1], 2.5, np.full(4, "train"))
+    p = tmp_path / "t.csv"
+    p.write_text("0.5,0\n1.5,1\n")
+    with pytest.raises(ValueError, match="^k must be a whole number"):
+        load_csv(p, label_column=-1, k=2.5)
+    assert load_csv(p, label_column=-1, k=3.0).k == 3
+
+
 # ------------------------------------------------------------------ imbalance
 
 def test_imbalance_uniform_keeps_balanced_dataset():

@@ -489,6 +489,31 @@ def test_malformed_constraint_entries_rejected(entries, message):
         TrainConfig(constraints=entries)
 
 
+@pytest.mark.parametrize("name, minimum", [
+    ("num_landmarks", 1), ("batch_size", 2), ("supervised_init_iters", 0),
+    ("main_iters", 0), ("eval_every", 1), ("balance_iters", 1), ("seed", 0),
+    ("eval_batch_size", 2), ("newton_iters", 1),
+])
+def test_integer_settings_are_whole_and_bounded(name, minimum):
+    # fractions used to be truncated at use; seed, num_landmarks, balance_iters
+    # and newton_iters below their minimums used to pass unchecked
+    for bad in (minimum - 1, minimum + 0.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            TrainConfig(**{name: bad})
+    for good in (np.int64(minimum), float(minimum + 1)):
+        stored = getattr(TrainConfig(**{name: good}), name)
+        assert type(stored) is int and stored == good
+
+
+def test_integral_float_settings_train_and_serialize_as_int():
+    # each float used to reach numpy (default_rng, choice) and raise TypeError
+    cfg = _small_config(eval_batch_size=50.0, seed=1.0)
+    _, metrics = train(_blobs(label_fraction=0.0), cfg, mode="unsupervised")
+    assert 0.0 <= metrics.test_accuracy <= 1.0
+    doc = cfg.to_dict()
+    assert [(doc[k], type(doc[k])) for k in ("eval_batch_size", "seed")] == [(50, int), (1, int)]
+
+
 def test_train_mode_validation():
     ds = _blobs()
     with pytest.raises(ValueError):
