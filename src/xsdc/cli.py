@@ -381,8 +381,8 @@ def _build_parser():
     p_bal.add_argument("--mu", type=float, default=None)
     p_bal.add_argument("--iters", type=int, default=10,
                        help="cap on the balancing rounds; they stop earlier "
-                       "once every row and column sum is within 1e-9*n_max "
-                       "of [n_min, n_max]")
+                       "at a fixed point, every row sum within 1e-9*n_max "
+                       "of its row projected onto [n_min, n_max]")
     p_bal.add_argument("--k", type=int, default=None,
                        help="cluster count for the default prior")
     p_bal.add_argument("--out-dir", required=True)

@@ -58,7 +58,7 @@ class TrainConfig:
     sigma default to None, meaning: derive from the data (twice the labeled
     share, 1/k, 1/k, the main learning rate, the median heuristic).
     balance_iters caps the balancing rounds of a batch; a batch stops
-    earlier once its row and column sums hold (see balancing.balance).
+    earlier at a fixed point (see balancing.balance).
     """
 
     num_landmarks: int = 64

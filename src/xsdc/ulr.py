@@ -66,17 +66,16 @@ def _check_pair(phi, M):
 
 
 def _objective(phi, M, lam, A=None, grad=True):
-    """(lam <M, A>, its gradient -2 lam A Ms A phi_c or None), A = A(phi).
-    Ms = (M + M^T) / 2 is applied as two products, not built; A phi = A phi_c
-    is exactly zero for constant features."""
+    """(lam <M, A>, its gradient -2 lam A M A phi_c or None), A = A(phi).
+    The gradient is that of a symmetric M; A phi = A phi_c is exactly zero
+    for constant features."""
     if A is None:
         A = ridge_kernel(phi, lam)
     fit = lam * float(np.vdot(M, A))
     if not grad:
         return fit, None
     A_phi = A @ (phi - phi.mean(axis=0))
-    Ms_A_phi = 0.5 * (M @ A_phi + M.T @ A_phi)
-    return fit, -2.0 * lam * (A @ Ms_A_phi)
+    return fit, -2.0 * lam * (A @ (M @ A_phi))
 
 
 def forward_objective(phi, M, lam):
@@ -97,7 +96,7 @@ def grad_phi(phi, M, lam):
     the fact that tr(M A) depends only on that part.
     """
     phi, M = _check_pair(phi, M)
-    return _objective(phi, M, lam)[1]
+    return _objective(phi, 0.5 * (M + M.T), lam)[1]
 
 
 def regularizer(landmarks, phi, alpha, rho):
@@ -133,7 +132,8 @@ def ulr_step(layer, X, M, config, batch=None, A=None):
     ----------
     layer : NystromLayer
     X : (n, d) batch rows
-    M : (n, n) agreement matrix
+    M : (n, n) symmetric agreement matrix, as balance and Y Y^T give; the
+        gradient step assumes the symmetry and does not check it
     config : UlrConfig
     batch : optional FeatureBatch from forward(layer, X); recomputed here
         when not supplied.

@@ -227,6 +227,7 @@ class TestBalance:
         rng = np.random.default_rng(3)
         n = 10
         A = rng.normal(size=(n, n))
+        A = 0.5 * (A + A.T)
         n_sigma = n / 2
         problem = BalancingProblem(A, [], n_sigma, n_sigma, mu=1.0, iters=300)
         result = balance(problem)
@@ -295,6 +296,75 @@ class TestBalance:
         problem = BalancingProblem(A, diagonal_known(n), 2.0, 2.0, mu=1e-12, iters=5)
         with pytest.raises(BalancingDivergence):
             balance_doubling(problem, max_doublings=3)
+
+
+def _contract_case(name):
+    """An asymmetric cost with the pins and box of one named case."""
+    rng = np.random.default_rng(12)
+    n = 20
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    labels = rng.integers(0, 3, size=n)
+    partial = labeled_known(labels[:8]) + [(i, i, 1) for i in range(8, n)]
+    must_not_link = [
+        (i, j, 0) for i in range(n) for j in range(n) if labels[i] != labels[j]
+    ]
+    # two blobs of 20% and 80% under the box [0.2 n, 0.8 n]: a stop at the
+    # first feasible round would come after round 1, far from the fixed point
+    small = rng.random(n) < 0.2
+    phi = rng.normal(size=(n, 3)) + 3.0 * np.eye(2, 3)[small.astype(int)]
+    blobs = ridge_kernel(phi, 0.1) + 0.01 * A
+    cost, known, n_min, n_max = {
+        "diagonal_box": (A, diagonal_known(n), 4.0, 9.0),
+        "labeled_box": (A, partial, 3.0, 10.0),
+        "imbalanced_blobs_box": (blobs, diagonal_known(n), 4.0, 16.0),
+        "must_not_link_equal": (A, diagonal_known(n) + must_not_link, 5.0, 5.0),
+        "pure_transport_equal": (A, [], 5.0, 5.0),
+    }[name]
+    return cost, known, n_min, n_max
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "diagonal_box",
+        "labeled_box",
+        "imbalanced_blobs_box",
+        "must_not_link_equal",
+        "pure_transport_equal",
+    ],
+)
+def test_symmetric_contract(name):
+    """M is symmetric bitwise with its pins exact; A and (A + A^T) / 2 balance
+    alike, bitwise; a stop before the cap is a fixed point, where a row whose
+    scaling is not 1 has its sum at the nearer edge of the box."""
+    A, known, n_min, n_max = _contract_case(name)
+    pinned = {(int(i), int(j)): m for i, j, m in known}
+    tau = _STOP_TOL * n_max
+    for mu in (None, 0.5):
+        result = balance(BalancingProblem(A, known, n_min, n_max, iters=500), mu=mu)
+        twin = balance(
+            BalancingProblem(0.5 * (A + A.T), known, n_min, n_max, iters=500), mu=mu
+        )
+        assert np.array_equal(result.M, twin.M)
+        assert np.array_equal(result.u, twin.u)
+        assert (result.mu, result.dual_trajectory) == (twin.mu, twin.dual_trajectory)
+        M = result.M
+        assert np.array_equal(M, M.T)
+        assert all(M[i, j] == m for (i, j), m in pinned.items())
+        assert result.rounds < 500
+        sums = M.sum(axis=1)
+        edge = np.minimum(np.abs(sums - n_min), np.abs(sums - n_max))
+        scaled = np.abs(np.log(result.u)) > tau
+        assert np.all(edge[scaled] <= tau + 1e-12 * n_max)
+        assert _marginal_violation(M, n_min, n_max) <= tau + 1e-12 * n_max
+
+
+@pytest.mark.parametrize("field, value", [("iters", 2.7), ("num_clusters", 2.5)])
+def test_problem_counts_are_whole_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        BalancingProblem(np.zeros((2, 2)), [], 2.0, 2.0, **{field: value})
+    problem = BalancingProblem(np.zeros((2, 2)), [], 2.0, 2.0, **{field: 5.0})
+    assert type(getattr(problem, field)) is int and getattr(problem, field) == 5
 
 
 class TestBruteForce:
