@@ -45,7 +45,6 @@ from .errors import (
     AbortedRun,
     BalancingDivergence,
     ParseError,
-    StaleCacheError,
     TrainingDiverged,
 )
 from .features import (
@@ -63,7 +62,7 @@ from .labeling import (
     predict_classes,
     spectral_cluster,
 )
-from .linalg import RidgeSolution, newton_inv_sqrt, ridge_kernel, ridge_solve
+from .linalg import RidgeSolution, ridge_kernel, ridge_solve
 from .trainer import (
     RunMetrics,
     TrainConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "ParseError",
     "RidgeSolution",
     "RunMetrics",
-    "StaleCacheError",
     "TrainConfig",
     "TrainState",
     "TrainingDiverged",
@@ -124,7 +122,6 @@ __all__ = [
     "load_libsvm",
     "make_blobs",
     "median_bandwidth",
-    "newton_inv_sqrt",
     "nn_propagate",
     "predict_classes",
     "rbf_kernel",

@@ -70,13 +70,6 @@ def default_mu(A):
     return med
 
 
-def project_box(x, n_sigma, n_delta):
-    """Clamp x elementwise to the interval [n_sigma - n_delta, n_sigma + n_delta]."""
-    if n_delta < 0:
-        raise ValueError(f"n_delta must be nonnegative, got {n_delta}")
-    return np.clip(x, n_sigma - n_delta, n_sigma + n_delta)
-
-
 def _pin_list(known, n):
     """Validate (i, j, m) triples into the row-major pin list (rows, cols, values).
 
@@ -284,7 +277,7 @@ def balance(problem, mu=None):
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
-    box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta  # as project_box
+    box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta
     tol = _STOP_TOL * problem.n_max
 
     pi, pj, m = problem.pins

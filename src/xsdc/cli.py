@@ -220,8 +220,6 @@ def _read_constraints(path):
 
 def cmd_balance(args):
     A = _read_matrix(args.matrix)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
     known = _read_constraints(args.constraints) if args.constraints else []
     problem = BalancingProblem(
         A,

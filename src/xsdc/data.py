@@ -26,6 +26,19 @@ def whole_number(name, value, minimum):
     raise ValueError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
 
 
+def finite_number(name, value, minimum, strict=False):
+    """value as a finite Python float of at least minimum (above it when
+    strict), else ValueError; NaN, inf and non-numbers fail."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if x < np.inf and (x > minimum if strict else x >= minimum):
+        return x
+    bound = "above" if strict else "of at least"
+    raise ValueError(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
+
+
 @dataclass
 class Dataset:
     name: str
@@ -181,23 +194,6 @@ def _is_float(cell):
         return True
     except ValueError:
         return False
-
-
-def write_csv(path, X, labels=None, label_column=-1):
-    """Inverse of load_csv; floats written with 17 significant digits."""
-    X = np.asarray(X, dtype=np.float64)
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (X.shape[0],):
-            raise ValueError("labels must match rows")
-        if label_column != -1:
-            raise ValueError("only trailing label columns are written")
-    with open(path, "w") as fh:
-        for i in range(X.shape[0]):
-            cells = [f"{v:.17g}" for v in X[i]]
-            if labels is not None:
-                cells.append("" if labels[i] < 0 else str(int(labels[i])))
-            fh.write(",".join(cells) + "\n")
 
 
 def load_libsvm(path, name=None):

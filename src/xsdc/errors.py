@@ -2,7 +2,7 @@
 
 Plain invalid arguments raise ValueError at the call site; the classes here
 cover runtime failures that callers are expected to catch and react to
-(retry with a larger entropic weight, abort a run, reject a stale cache).
+(retry with a larger entropic weight, abort a run).
 """
 
 
@@ -14,10 +14,6 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class StaleCacheError(RuntimeError):
-    """A cached forward pass no longer matches its inputs."""
 
 
 class BalancingDivergence(RuntimeError):

@@ -12,12 +12,10 @@ mean squared norm.  The backward pass is the exact reverse-mode sweep of that
 composition; only the landmarks are treated as parameters.
 """
 
-import hashlib
-
 import numpy as np
 from dataclasses import dataclass, field
 
-from .errors import StaleCacheError
+from .data import finite_number, whole_number
 from .linalg import newton_inv_sqrt_cached, newton_inv_sqrt_vjp
 
 
@@ -142,12 +140,9 @@ class NystromLayer:
         self.landmarks = np.asarray(self.landmarks, dtype=np.float64)
         if self.landmarks.ndim != 2 or self.landmarks.size == 0:
             raise ValueError("landmarks must be a non-empty d x p array")
-        if not float(self.sigma) > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if float(self.epsilon) < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if int(self.newton_iters) < 1:
-            raise ValueError("newton_iters must be at least 1")
+        self.sigma = finite_number("sigma", self.sigma, 0, strict=True)
+        self.epsilon = finite_number("epsilon", self.epsilon, 0)
+        self.newton_iters = whole_number("newton_iters", self.newton_iters, 1)
 
     @property
     def dim(self):
@@ -186,20 +181,13 @@ def init_landmarks(X, num_landmarks, seed=0):
     return NystromLayer(landmarks=X[idx].T.copy(), sigma=median_bandwidth(X))
 
 
-def _digest(arr):
-    h = hashlib.sha256()
-    h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.digest()
-
-
 @dataclass
 class FeatureBatch:
     """Output of a forward pass plus everything backward needs.
 
-    The cached intermediates refer to the exact inputs seen at forward time;
-    mutating the batch data or the layer landmarks afterwards makes the cache
-    stale, which backward detects and rejects.
+    The cache belongs to the arrays seen at forward time: backward reads
+    the batch X and the layer's landmarks as they are then, so neither may
+    be changed in between.
     """
 
     phi: np.ndarray
@@ -207,7 +195,6 @@ class FeatureBatch:
     scale: float
     _layer: NystromLayer = field(repr=False)
     _X: np.ndarray = field(repr=False)
-    _fingerprints: tuple = field(repr=False)
     _cache: tuple = field(repr=False)
 
 
@@ -240,9 +227,7 @@ def forward(layer, X, normalize=True):
     Vr = layer.landmarks.T
     Kx = rbf_kernel(X, Vr, layer.sigma)
     Kvv = rbf_kernel(Vr, Vr, layer.sigma)
-    S, ns_cache = newton_inv_sqrt_cached(
-        Kvv, layer.epsilon, layer.newton_iters, validate=False
-    )
+    S, ns_cache = newton_inv_sqrt_cached(Kvv, layer.epsilon, layer.newton_iters)
     phi_raw = Kx @ S
     if normalize:
         phi_cent = phi_raw - phi_raw.mean(axis=0)
@@ -266,7 +251,6 @@ def forward(layer, X, normalize=True):
         scale=scale,
         _layer=layer,
         _X=X,
-        _fingerprints=(_digest(X), _digest(layer.landmarks)),
         _cache=(Kx, Kvv, S, ns_cache, phi_cent, msq),
     )
 
@@ -286,10 +270,6 @@ def backward(batch, d_phi):
         )
     layer = batch._layer
     X = batch._X
-    if (_digest(X), _digest(layer.landmarks)) != batch._fingerprints:
-        raise StaleCacheError(
-            "forward inputs were mutated after the pass; rerun forward"
-        )
     Kx, Kvv, S, ns_cache, phi_cent, msq = batch._cache
     n = X.shape[0]
     if batch.normalized:

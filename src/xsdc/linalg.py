@@ -127,63 +127,24 @@ def ridge_kernel(phi, lam):
     return A
 
 
-def _check_square_symmetric(K, tol=1e-10):
-    K = _as_matrix(K, "K")
-    if K.shape[0] != K.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {K.shape}")
-    asym = float(np.max(np.abs(K - K.T))) if K.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {tol:.0e}")
-    return K
-
-
-def newton_inv_sqrt(K, epsilon=1e-3, iters=20):
-    """Inverse square root of K + epsilon I by coupled Newton iterations.
+def newton_inv_sqrt_cached(K, epsilon, iters):
+    """Inverse square root of K + epsilon I by coupled Newton iterations,
+    with the per-iteration states.
 
     The input is shifted, symmetrized, and scaled by its trace so the
     iteration contracts; the fixed iteration count makes the map a fixed
     composition of matrix products, which is what the feature-map backward
-    pass differentiates through.
+    pass differentiates through.  K is a (p, p) symmetric positive
+    semidefinite array, epsilon a finite shift >= 0 and iters >= 1, as
+    NystromLayer stores them; nothing here checks them again.
 
-    Parameters
-    ----------
-    K : (p, p) symmetric positive semidefinite array
-    epsilon : nonnegative diagonal shift (with PSD K it keeps the shifted
-        matrix positive definite)
-    iters : number of coupled iterations
-
-    Returns
-    -------
-    (p, p) array S with S (K + epsilon I) S close to the identity.
-    """
-    S, _ = newton_inv_sqrt_cached(K, epsilon, iters, validate=True)
-    return S
-
-
-def newton_inv_sqrt_cached(K, epsilon=1e-3, iters=20, validate=True):
-    """Like newton_inv_sqrt but also returns the per-iteration states.
-
-    The cache is consumed by ``newton_inv_sqrt_vjp`` to run the exact
+    Returns (S, cache): S (K + epsilon I) S is close to the identity, and the
+    cache is consumed by ``newton_inv_sqrt_vjp`` to run the exact
     reverse-mode sweep of the unrolled iteration.
     """
-    if validate:
-        K = _check_square_symmetric(K)
-    else:
-        K = np.asarray(K, dtype=np.float64)
-    epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    iters = int(iters)
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    K = np.asarray(K, dtype=np.float64)
     p = K.shape[0]
     T = 0.5 * (K + K.T) + epsilon * np.eye(p)
-    if validate:
-        min_eig = float(np.linalg.eigvalsh(T).min())
-        if min_eig < -1e-10:
-            raise ValueError(
-                f"matrix must be positive semidefinite, min eigenvalue {min_eig:.3e}"
-            )
     nu = float(np.trace(T))
     if nu <= 0:
         raise ValueError(f"trace of shifted matrix must be positive, got {nu}")

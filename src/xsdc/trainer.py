@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass, field, fields, replace
 
 from .balancing import BalancingProblem, balance_doubling
-from .data import whole_number
+from .data import finite_number, whole_number
 from .errors import AbortedRun, BalancingDivergence, TrainingDiverged
 from .features import NystromLayer, forward, init_landmarks
 from .labeling import (
@@ -100,10 +100,10 @@ class TrainConfig:
             and float(self.n_min_frac) > float(self.n_max_frac)
         ):
             raise ValueError("n_min_frac must not exceed n_max_frac")
-        if self.init_learning_rate is not None and float(self.init_learning_rate) < 0:
-            raise ValueError("init_learning_rate must be nonnegative")
-        if self.mu is not None and not float(self.mu) > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        for name, strict in (("sigma", True), ("mu", True), ("init_learning_rate", False)):
+            if getattr(self, name) is not None:
+                finite_number(name, getattr(self, name), 0, strict)
+        finite_number("epsilon", self.epsilon, 0)
         seen = {}
         for triple in self.constraints:
             try:

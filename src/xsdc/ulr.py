@@ -16,6 +16,7 @@ callers; given A, it builds no other (n, n) array.
 import numpy as np
 from dataclasses import dataclass
 
+from .data import finite_number
 from .errors import TrainingDiverged
 from .features import backward, forward
 from .linalg import ridge_kernel
@@ -44,16 +45,9 @@ class UlrConfig:
     learning_rate: float = 0.03125
 
     def __post_init__(self):
-        if not float(self.lam) > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if float(self.alpha) < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if float(self.rho) < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if float(self.learning_rate) < 0:
-            raise ValueError(
-                f"learning_rate must be nonnegative, got {self.learning_rate}"
-            )
+        finite_number("lam", self.lam, 0, strict=True)
+        for name in ("alpha", "rho", "learning_rate"):
+            finite_number(name, getattr(self, name), 0)
 
 
 def _check_pair(phi, M):

@@ -1,9 +1,9 @@
 """The symmetric balancing loop against the dense two-vector loop it replaced.
 
-`oracle_balance` and `oracle_dual_objective` are frozen copies of an earlier
-`balance`, which scaled rows and columns with two vectors, rebuilt the n x n
-kernel with the pinned multipliers every round and took the log of the whole
-kernel for the dual.  Its set-up is frozen too: the default prior as an
+`oracle_balance`, `oracle_dual_objective` and the box clamp `project_box` are
+frozen copies of an earlier `balance` and its helper.  That `balance` scaled
+rows and columns with two vectors, rebuilt the n x n kernel with the pinned
+multipliers every round and took the log of the whole kernel for the dual.  Its set-up is frozen too: the default prior as an
 n x n fill and `default_mu` as a plain median, so the scalar prior and the
 in-place median are checked as well.  The oracle takes its pin mask and
 values from `oracle_arrays` in `test_pins.py`, the frozen dict code, not from
@@ -34,7 +34,6 @@ from xsdc.balancing import (
     _marginal_violation,
     balance,
     balance_doubling,
-    project_box,
 )
 from xsdc.errors import BalancingDivergence
 from xsdc.linalg import ridge_kernel
@@ -48,6 +47,28 @@ M_RTOL = 1e-8
 # round, within ORACLE_ROUNDS rounds
 ORACLE_STEP = 1e-13
 ORACLE_ROUNDS = 3000
+
+
+def project_box(x, n_sigma, n_delta):
+    """Clamp x elementwise to the interval [n_sigma - n_delta, n_sigma + n_delta]."""
+    if n_delta < 0:
+        raise ValueError(f"n_delta must be nonnegative, got {n_delta}")
+    return np.clip(x, n_sigma - n_delta, n_sigma + n_delta)
+
+
+class TestProjectBox:
+    def test_clamps(self):
+        x = np.array([-1.0, 2.0, 7.0])
+        out = project_box(x, n_sigma=3.0, n_delta=2.0)
+        assert np.array_equal(out, [1.0, 2.0, 5.0])
+
+    def test_degenerate_interval(self):
+        out = project_box(np.array([0.0, 9.0]), n_sigma=4.0, n_delta=0.0)
+        assert np.array_equal(out, [4.0, 4.0])
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            project_box(np.ones(2), 1.0, -0.5)
 
 
 def oracle_dual_objective(N, u, v, Q_tilde, ones_mask, n_sigma, n_delta):

@@ -11,7 +11,6 @@ from xsdc.balancing import (
     balance_doubling,
     brute_force_assign,
     default_mu,
-    project_box,
     scale_to_marginals,
     sinkhorn_jacobian,
 )
@@ -85,21 +84,6 @@ class TestDefaultMu:
             assert type(got) is float
             assert np.array_equal(got, expected, equal_nan=True)
         assert fallbacks >= 20
-
-
-class TestProjectBox:
-    def test_clamps(self):
-        x = np.array([-1.0, 2.0, 7.0])
-        out = project_box(x, n_sigma=3.0, n_delta=2.0)
-        assert np.array_equal(out, [1.0, 2.0, 5.0])
-
-    def test_degenerate_interval(self):
-        out = project_box(np.array([0.0, 9.0]), n_sigma=4.0, n_delta=0.0)
-        assert np.array_equal(out, [4.0, 4.0])
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            project_box(np.ones(2), 1.0, -0.5)
 
 
 class TestProblemValidation:

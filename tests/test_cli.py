@@ -161,6 +161,27 @@ class TestTrainCommand:
         assert events[0]["error"] == "ValueError"
         assert events[0]["message"].startswith(f"{key} must be a whole number")
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", float("nan")), ("lam", float("inf")), ("sigma", float("inf")),
+        ("learning_rate", float("nan")), ("alpha", float("inf")),
+        ("rho", float("nan")), ("init_learning_rate", float("inf")),
+        ("mu", float("-inf")),
+    ])
+    def test_non_finite_float_setting_exits_before_training(
+        self, tmp_path, capsys, key, value
+    ):
+        # epsilon NaN, lam inf and sigma inf used to exit 3 as TrainingDiverged,
+        # learning_rate NaN after one metric event
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["train"][key] = value
+        config.write_text(json.dumps(doc))  # written as NaN / Infinity
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["error"] == "ValueError"
+        assert events[0]["message"].startswith(f"{key} must be a finite number")
+
     @pytest.mark.parametrize(
         "entry", [[1, 2], [float("inf"), 2, 1], [0, 1, 1, 7], [1e30, 2, 1]]
     )
@@ -185,8 +206,8 @@ class TestTrainCommand:
         events = _events(capsys.readouterr().err)
         assert events[-1]["error"] == "TrainingDiverged"
 
-    def test_csv_dataset_round_trip(self, tmp_path, capsys):
-        from xsdc.data import make_blobs, write_csv
+    def test_csv_dataset_round_trip(self, tmp_path, capsys, write_csv):
+        from xsdc.data import make_blobs
 
         ds = make_blobs(n=90, d=4, k=3, separation=8.0, label_fraction=1.0, seed=2)
         data_path = tmp_path / "points.csv"

@@ -4,12 +4,12 @@ from scipy.spatial.distance import cdist
 
 from xsdc.data import (
     Dataset,
+    finite_number,
     imbalance,
     load_csv,
     load_libsvm,
     make_blobs,
     standardize,
-    write_csv,
 )
 from xsdc.errors import ParseError
 
@@ -74,7 +74,7 @@ def test_load_csv_rejects_empty(tmp_path):
         load_csv(p)
 
 
-def test_csv_round_trip_bitwise(tmp_path):
+def test_csv_round_trip_bitwise(tmp_path, write_csv):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 5)) * np.logspace(-8, 8, 5)
     labels = rng.integers(-1, 3, size=12)
@@ -274,6 +274,21 @@ def test_fractional_k_rejected(tmp_path):
     with pytest.raises(ValueError, match="^k must be a whole number"):
         load_csv(p, label_column=-1, k=2.5)
     assert load_csv(p, label_column=-1, k=3.0).k == 3
+
+
+@pytest.mark.parametrize("value, strict, expected", [
+    (0, False, 0.0), (np.float64(2.5), True, 2.5), ("1e-3", True, 1e-3),
+    (0.0, True, None), (-1e-300, False, None), (np.nan, False, None),
+    (np.inf, False, None), (-np.inf, False, None), (None, False, None),
+    ("x", False, None),
+])
+def test_finite_number(value, strict, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="^lr must be a finite number"):
+            finite_number("lr", value, 0, strict)
+    else:
+        got = finite_number("lr", value, 0, strict)
+        assert (type(got), got) == (float, expected)
 
 
 # ------------------------------------------------------------------ imbalance

@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 import xsdc.features
-from xsdc.errors import StaleCacheError
 from xsdc.features import (
     NystromLayer,
     backward,
@@ -161,6 +160,33 @@ def small_layer(seed=0, d=3, p=4, sigma=1.2):
     return NystromLayer(landmarks=rng.normal(size=(d, p)), sigma=sigma)
 
 
+class TestNystromLayer:
+    def test_stores_python_numbers(self):
+        layer = NystromLayer(
+            np.ones((2, 3)), sigma=np.float64(1.5), epsilon=0, newton_iters=np.int64(7)
+        )
+        assert (type(layer.sigma), layer.sigma) == (float, 1.5)
+        assert (type(layer.epsilon), layer.epsilon) == (float, 0.0)
+        assert (type(layer.newton_iters), layer.newton_iters) == (int, 7)
+        assert layer.with_landmarks(np.zeros((2, 3))).newton_iters == 7
+
+    @pytest.mark.parametrize("name, value", [
+        ("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
+        ("sigma", "wide"), ("epsilon", -1e-3), ("epsilon", np.nan),
+        ("epsilon", np.inf), ("epsilon", None),
+    ])
+    def test_invalid_float_rejected(self, name, value):
+        # epsilon = nan or inf used to pass and give NaN features
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            NystromLayer(np.ones((2, 3)), **{"sigma": 1.0, name: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, np.nan, np.inf, "20"])
+    def test_invalid_newton_iters_rejected(self, value):
+        # 2.5 used to be stored and run as 2 iterations
+        with pytest.raises(ValueError, match="^newton_iters must be a whole number"):
+            NystromLayer(np.ones((2, 3)), sigma=1.0, newton_iters=value)
+
+
 class TestForward:
     def test_gram_approximation(self):
         # phi_raw phi_raw^T must reproduce the Nystrom-approximate kernel
@@ -247,15 +273,6 @@ class TestBackward:
         fb = forward(layer, X, normalize=False)
         grad = backward(fb, np.ones_like(fb.phi))
         assert np.max(np.abs(grad[:, 2])) <= 1e-10
-
-    def test_stale_cache_detected(self):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(5, 3))
-        layer = small_layer(seed=14)
-        fb = forward(layer, X)
-        X[0, 0] += 1.0
-        with pytest.raises(StaleCacheError):
-            backward(fb, np.ones_like(fb.phi))
 
     def test_bad_cotangent_shape(self):
         rng = np.random.default_rng(15)

