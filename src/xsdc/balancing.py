@@ -27,9 +27,11 @@ import warnings
 import numpy as np
 from dataclasses import dataclass, field
 
-from .data import whole_number
+from .data import finite_number, whole_number
 from .errors import BalancingDivergence
 
+# balance_doubling re-raises the divergence after this many doublings of mu
+MAX_MU_DOUBLINGS = 20
 # divergence is declared after this many consecutive dual increases
 _DUAL_INCREASE_LIMIT = 3
 _DUAL_INCREASE_TOL = 1e-6
@@ -136,8 +138,8 @@ class BalancingProblem:
         empty list is the pure-transport mode used by the Sinkhorn tests.
         _pin_list stores them as pins = (rows, cols, values), each distinct
         pinned entry once in row-major order; no (n, n) array is kept.
-    n_min, n_max : bounds on every row sum
-    mu : entropy weight; None means default_mu(A)
+    n_min, n_max : bounds on every row sum, finite with 0 <= n_min <= n_max
+    mu : finite positive entropy weight; None means default_mu(A)
     iters : cap on the rounds, a whole number of at least 1; balance stops
         earlier at a fixed point (see balance)
     num_clusters : optional cluster count, a whole number of at least 1;
@@ -166,14 +168,14 @@ class BalancingProblem:
         if any(np.any(A[s:s + 64, s:] != A[s:, s:s + 64].T) for s in range(0, n, 64)):
             self.A = 0.5 * (A + A.T)
         self.pins = _pin_list(self.known, n)
-        self.n_min = float(self.n_min)
-        self.n_max = float(self.n_max)
-        if not 0 <= self.n_min <= self.n_max:
+        self.n_min = finite_number("n_min", self.n_min, 0)
+        self.n_max = finite_number("n_max", self.n_max, 0)
+        if self.n_min > self.n_max:
             raise ValueError(
                 f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}"
             )
-        if self.mu is not None and not float(self.mu) > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if self.mu is not None:
+            self.mu = finite_number("mu", self.mu, 0, strict=True)
         self.iters = whole_number("iters", self.iters, 1)
         if self.num_clusters is not None:
             self.num_clusters = whole_number("num_clusters", self.num_clusters, 1)
@@ -257,8 +259,8 @@ def balance(problem, mu=None):
     Parameters
     ----------
     problem : BalancingProblem
-    mu : optional override of the entropy weight (used by the doubling
-        retry loop)
+    mu : optional override of the entropy weight, finite and positive (used
+        by the doubling retry loop)
 
     Returns
     -------
@@ -273,9 +275,7 @@ def balance(problem, mu=None):
     n = problem.size
     if mu is None:
         mu = problem.mu if problem.mu is not None else default_mu(problem.A)
-    mu = float(mu)
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    mu = finite_number("mu", mu, 0, strict=True)
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
     box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta
     tol = _STOP_TOL * problem.n_max
@@ -363,11 +363,11 @@ def balance(problem, mu=None):
     )
 
 
-def balance_doubling(problem, max_doublings=20):
+def balance_doubling(problem):
     """Balance with the entropy weight doubled on each divergence.
 
     Returns the first successful EquivalenceMatrix (its mu field records the
-    weight actually used).  After max_doublings failed attempts the last
+    weight actually used).  After MAX_MU_DOUBLINGS doublings the last
     divergence is re-raised.
     """
     mu = problem.mu if problem.mu is not None else default_mu(problem.A)
@@ -377,7 +377,7 @@ def balance_doubling(problem, max_doublings=20):
             return balance(problem, mu=mu)
         except BalancingDivergence:
             attempt += 1
-            if attempt > max_doublings:
+            if attempt > MAX_MU_DOUBLINGS:
                 raise
             mu *= 2.0
 

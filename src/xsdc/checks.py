@@ -10,6 +10,7 @@ bounds are stress-tested by random sampling inside the stated feasible set
 import numpy as np
 from dataclasses import dataclass
 
+from .data import whole_number
 from .features import backward, forward, init_landmarks
 from .ulr import (
     forward_objective,
@@ -191,13 +192,14 @@ def smoothness_report(B, n, n_max, lam, samples=1000, seed=0):
     bounds are theorems, so `passed` failing indicates a broken gradient.
     """
     est = lipschitz_bounds(B, n, n_max, lam)
+    samples = whole_number("samples", samples, 1)
     n = int(n)
     n_max_i = int(n_max)
     k = max(2, -(-n // n_max_i))  # smallest cluster count n_max allows
     rng = np.random.default_rng(seed)
     dim = min(n - 1, 6)
     g_fwd = g_rev = c_fwd = c_rev = 0.0
-    for _ in range(int(samples)):
+    for _ in range(samples):
         labels = _sample_labels(rng, n, n_max_i, k)
         Y = np.zeros((n, k))
         Y[np.arange(n), labels] = 1.0
@@ -219,7 +221,7 @@ def smoothness_report(B, n, n_max, lam, samples=1000, seed=0):
         n=n,
         n_max=n_max_i,
         lam=float(lam),
-        samples=int(samples),
+        samples=samples,
         bounds=est,
         empirical_forward_gradient=float(g_fwd),
         empirical_reverse_gradient=float(g_rev),

@@ -26,6 +26,7 @@ from .data import (
     load_libsvm,
     make_blobs,
     standardize,
+    whole_number,
 )
 from .errors import AbortedRun, BalancingDivergence, ParseError, TrainingDiverged
 from .labeling import hungarian_match, spectral_cluster
@@ -38,11 +39,6 @@ EXIT_NUMERIC = 3
 
 CONFIG_VERSION = 1
 _TOP_LEVEL_KEYS = {"format_version", "mode", "dataset", "output_dir", "train"}
-_DATASET_KEYS = {
-    "blobs": {"n", "d", "k", "separation", "label_fraction", "seed"},
-    "csv": {"path", "label_column", "header", "k"},
-    "libsvm": {"path"},
-}
 
 
 def _emit(event, **payload):
@@ -105,38 +101,29 @@ def _load_run_config(args):
 
 
 def _load_dataset(spec):
+    """The dataset of a config's dataset block.  The loader of "type" takes
+    the other keys as keyword arguments, as assign_splits and imbalance take
+    the "split" and "imbalance" blocks; an unknown key raises TypeError."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("dataset spec must be an object with a 'type' key")
+    # built per call, so a wrapper set on this module's make_blobs is called
+    loaders = {"blobs": make_blobs, "csv": load_csv, "libsvm": load_libsvm}
     spec = dict(spec)
     kind = spec.pop("type")
     post_split = spec.pop("split", None)
     post_standardize = spec.pop("standardize", False)
     post_imbalance = spec.pop("imbalance", None)
-    if kind not in _DATASET_KEYS:
+    if kind not in loaders:
         raise ValueError(f"unknown dataset type {kind!r}")
-    unknown = set(spec) - _DATASET_KEYS[kind]
-    if unknown:
-        raise ValueError(f"unknown dataset keys for {kind!r}: {sorted(unknown)}")
-    if kind == "blobs":
-        ds = make_blobs(**spec)
-    elif kind == "csv":
-        ds = load_csv(**spec)
-    else:
-        ds = load_libsvm(**spec)
+    if not isinstance(post_standardize, bool):
+        raise ValueError(f"standardize must be true or false, got {post_standardize!r}")
+    ds = loaders[kind](**spec)
     if post_split is not None:
-        ds = assign_splits(
-            ds,
-            fractions=post_split.get("fractions", (0.6, 0.2, 0.2)),
-            seed=post_split.get("seed", 0),
-        )
+        ds = assign_splits(ds, **post_split)
     if post_standardize:
         ds = standardize(ds)
     if post_imbalance is not None:
-        ds = imbalance(
-            ds,
-            post_imbalance["class_fractions"],
-            seed=post_imbalance.get("seed", 0),
-        )
+        ds = imbalance(ds, **post_imbalance)
     return ds
 
 
@@ -319,7 +306,7 @@ def cmd_gradcheck(args):
     if len(sizes) != 3:
         raise ValueError(f"sizes must be n,d,p; got {args.sizes!r}")
     failures = []
-    for trial in range(int(args.repeats)):
+    for trial in range(whole_number("repeats", args.repeats, 1)):
         results = run_gradcheck(
             seed=args.seed + trial,
             sizes=sizes,

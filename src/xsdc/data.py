@@ -17,9 +17,10 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 def whole_number(name, value, minimum):
     """value as a Python int of at least minimum, else ValueError; integral
-    floats (50.0) and numpy integers pass, fractions (32.7), NaN and inf fail."""
+    floats (50.0) and numpy integers pass, fractions (32.7), NaN, inf and
+    booleans fail."""
     try:
-        if int(value) == value and value >= minimum:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -28,9 +29,9 @@ def whole_number(name, value, minimum):
 
 def finite_number(name, value, minimum, strict=False):
     """value as a finite Python float of at least minimum (above it when
-    strict), else ValueError; NaN, inf and non-numbers fail."""
+    strict), else ValueError; NaN, inf, booleans and non-numbers fail."""
     try:
-        x = float(value)
+        x = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         x = np.nan
     if x < np.inf and (x > minimum if strict else x >= minimum):
@@ -97,10 +98,10 @@ class Dataset:
             mask &= self.split == tag
         return np.flatnonzero(mask)
 
-    def subset(self, rows, name=None):
+    def subset(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
         return Dataset(
-            name=self.name if name is None else name,
+            name=self.name,
             X=self.X[rows].copy(),
             labels=self.labels[rows].copy(),
             k=self.k,
@@ -112,7 +113,7 @@ class Dataset:
 
 # -------------------------------------------------------------------- loaders
 
-def load_csv(path, label_column=None, header=False, k=None, name=None):
+def load_csv(path, label_column=None, header=False, k=None):
     """Dense numeric CSV, optionally with one integer label column.
 
     Empty label cells mark the row unlabeled.  Rows must be rectangular;
@@ -180,7 +181,7 @@ def load_csv(path, label_column=None, header=False, k=None, name=None):
         if lab.max(initial=-1) >= k:
             raise ParseError(f"label {int(lab.max())} outside [0, {k})")
     return Dataset(
-        name=name or str(path),
+        name=str(path),
         X=X,
         labels=lab,
         k=k,
@@ -196,7 +197,7 @@ def _is_float(cell):
         return False
 
 
-def load_libsvm(path, name=None):
+def load_libsvm(path):
     """Sparse 'label index:value' text with 1-based indices, densified.
 
     Label codes are mapped to class indices 0..k-1 in sorted order; the
@@ -243,7 +244,7 @@ def load_libsvm(path, name=None):
     code = {v: c for c, v in enumerate(values)}
     labels = np.array([code[v] for v in raw_labels], dtype=np.int64)
     return Dataset(
-        name=name or str(path),
+        name=str(path),
         X=X,
         labels=labels,
         k=len(values),
@@ -301,7 +302,8 @@ def assign_splits(ds, fractions=SPLIT_FRACTIONS, seed=0):
     per-class counts land within one row of the exact proportions.
     """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
+    # written so that a NaN fraction fails
+    if len(fractions) != 3 or not (min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ValueError("fractions must be three nonnegative values summing to 1")
     rng = np.random.default_rng(seed)
     return replace(ds, split=_stratified_split(ds.true_labels, rng, fractions))
@@ -319,9 +321,9 @@ def make_blobs(n, d, k, separation, label_fraction, seed=0):
     n, d, k = (whole_number(name, v, 1) for name, v in (("n", n), ("d", d), ("k", k)))
     if n < k:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
-    if not 0.0 <= label_fraction <= 1.0:
+    separation = finite_number("separation", separation, 0)
+    label_fraction = finite_number("label_fraction", label_fraction, 0)
+    if label_fraction > 1.0:
         raise ValueError(f"label_fraction must be in [0,1], got {label_fraction}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(k, d))
@@ -365,7 +367,8 @@ def imbalance(ds, class_fractions, seed=0):
     fractions = np.asarray(class_fractions, dtype=np.float64)
     if fractions.shape != (ds.k,):
         raise ValueError(f"need one fraction per class, got {fractions.shape}")
-    if fractions.min() < 0 or abs(fractions.sum() - 1.0) > 1e-9:
+    # written so that a NaN fraction fails
+    if not (fractions.min() >= 0 and abs(fractions.sum() - 1.0) <= 1e-9):
         raise ValueError("class_fractions must be nonnegative and sum to 1")
     train = ds.split_indices("train")
     pool = train[ds.labels[train] < 0]

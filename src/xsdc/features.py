@@ -46,6 +46,8 @@ def rbf_kernel(A, B, sigma):
 
 # elements of the difference buffer of one sqeuclidean chunk
 _DIST_CHUNK = 1 << 18
+# median_bandwidth reads only this many leading rows
+_BANDWIDTH_ROWS = 1000
 
 
 def _ordered_sum(terms):
@@ -72,19 +74,17 @@ def sqeuclidean(A, B):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def median_bandwidth(X, max_points=1000):
-    """Median pairwise Euclidean distance over the first max_points rows.
+def median_bandwidth(X):
+    """Median pairwise Euclidean distance over the first _BANDWIDTH_ROWS rows.
 
-    Bit for bit np.median(scipy.spatial.distance.pdist(X[:max_points])).
+    Bit for bit np.median(scipy.spatial.distance.pdist(X[:1000])).
     One product estimates every squared distance; only pairs near the
     median get their exact one.  Raises ValueError for non-finite rows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least 2 rows to estimate a bandwidth")
-    if int(max_points) < 2:
-        raise ValueError(f"max_points must be at least 2, got {max_points}")
-    Y = X[: int(max_points)]
+    Y = X[:_BANDWIDTH_ROWS]
     if not np.all(np.isfinite(Y)):
         raise ValueError("X has non-finite entries")
     m, d = Y.shape

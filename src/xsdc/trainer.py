@@ -38,7 +38,6 @@ from .ulr import UlrConfig, ulr_step
 
 MODES = ("semi", "supervised", "unsupervised")
 CHECKPOINT_VERSION = 1
-MAX_MU_DOUBLINGS = 20
 OBJECTIVE_CEILING = 1e12
 _NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
 
@@ -47,6 +46,14 @@ _NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
 _INTEGER_MINIMUMS = dict(
     num_landmarks=1, batch_size=2, supervised_init_iters=0, main_iters=0, eval_every=1,
     balance_iters=1, seed=0, eval_batch_size=2, newton_iters=1,
+)
+# the float settings and their bounds (minimum, above it only, maximum);
+# TrainConfig stores each as a finite Python float, or None where None is
+# its default
+_FLOAT_BOUNDS = dict(
+    labeled_batch_fraction=(0, True, 1), init_learning_rate=(0, False, np.inf),
+    mu=(0, True, np.inf), n_min_frac=(0, False, 1), n_max_frac=(0, False, 1),
+    sigma=(0, True, np.inf), epsilon=(0, False, np.inf),
 )
 
 
@@ -83,27 +90,17 @@ class TrainConfig:
     def __post_init__(self):
         for name, minimum in _INTEGER_MINIMUMS.items():
             setattr(self, name, whole_number(name, getattr(self, name), minimum))
-        if self.labeled_batch_fraction is not None and not (
-            0.0 < float(self.labeled_batch_fraction) <= 1.0
-        ):
-            raise ValueError(
-                f"labeled_batch_fraction must be in (0, 1], got "
-                f"{self.labeled_batch_fraction}"
-            )
-        for name in ("n_min_frac", "n_max_frac"):
+        for name, (minimum, strict, maximum) in _FLOAT_BOUNDS.items():
             value = getattr(self, name)
-            if value is not None and not 0.0 <= float(value) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if (
-            self.n_min_frac is not None
-            and self.n_max_frac is not None
-            and float(self.n_min_frac) > float(self.n_max_frac)
-        ):
+            if value is None and getattr(TrainConfig, name) is None:
+                continue
+            value = finite_number(name, value, minimum, strict)
+            if value > maximum:
+                raise ValueError(f"{name} must be at most {maximum}, got {value}")
+            setattr(self, name, value)
+        lo, hi = self.n_min_frac, self.n_max_frac
+        if lo is not None and hi is not None and lo > hi:
             raise ValueError("n_min_frac must not exceed n_max_frac")
-        for name, strict in (("sigma", True), ("mu", True), ("init_learning_rate", False)):
-            if getattr(self, name) is not None:
-                finite_number(name, getattr(self, name), 0, strict)
-        finite_number("epsilon", self.epsilon, 0)
         seen = {}
         for triple in self.constraints:
             try:
@@ -243,13 +240,13 @@ def _agreement(labels):
 def _balance(A, known, config, k):
     """Balance one batch's agreement matrix against its ridge kernel A."""
     b = A.shape[0]
-    lo = 1.0 / k if config.n_min_frac is None else float(config.n_min_frac)
-    hi = 1.0 / k if config.n_max_frac is None else float(config.n_max_frac)
+    lo = 1.0 / k if config.n_min_frac is None else config.n_min_frac
+    hi = 1.0 / k if config.n_max_frac is None else config.n_max_frac
     problem = BalancingProblem(
         A, known, lo * b, hi * b, mu=config.mu, iters=config.balance_iters,
         num_clusters=k,
     )
-    return balance_doubling(problem, MAX_MU_DOUBLINGS)
+    return balance_doubling(problem)
 
 
 def _build_layer(X_train, config):
@@ -454,9 +451,9 @@ def _checkpoint_doc(layer, classifier, config):
         "format_version": CHECKPOINT_VERSION,
         "d": layer.dim,
         "p": layer.num_landmarks,
-        "sigma": float(layer.sigma),
-        "epsilon": float(layer.epsilon),
-        "newton_iters": int(layer.newton_iters),
+        "sigma": layer.sigma,
+        "epsilon": layer.epsilon,
+        "newton_iters": layer.newton_iters,
         "V": [float(x) for x in layer.landmarks.ravel(order="C")],
         "W": None,
         "b": None,
@@ -680,8 +677,10 @@ def sweep(dataset, grids, config, mode="semi"):
         scores, candidates = [], []
         for value in grids[stage]:
             values = value if len(names) > 1 else (value,)
-            settings = {name: float(v) for name, v in zip(names, values, strict=True)}
+            settings = dict(zip(names, values, strict=True))
             candidate = TrainConfig.from_dict({**best.to_dict(), **settings})
+            checked = candidate.to_dict()  # the values as TrainConfig stores them
+            label = ":".join(f"{checked[name]:g}" for name in names)
             try:
                 _, metrics = train(dataset, candidate, mode=mode)
                 accuracy = metrics.best_val_accuracy
@@ -689,7 +688,7 @@ def sweep(dataset, grids, config, mode="semi"):
                 accuracy = float("nan")
             scores.append(accuracy)
             candidates.append(candidate)
-            rows.append((stage, ":".join(f"{v:g}" for v in settings.values()), accuracy))
+            rows.append((stage, label, accuracy))
         if np.all(np.isnan(scores)):
             raise ValueError(f"every candidate diverged in stage {stage!r}")
         best = candidates[int(np.nanargmax(scores))]

@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass
 class UlrConfig:
-    """Hyperparameters of the reduced objective and its gradient step."""
+    """Hyperparameters of the reduced objective and its gradient step, each
+    stored as a finite Python float: lam above 0, the others at 0 or above."""
 
     lam: float = 1e-3
     alpha: float = 0.0625
@@ -45,9 +46,9 @@ class UlrConfig:
     learning_rate: float = 0.03125
 
     def __post_init__(self):
-        finite_number("lam", self.lam, 0, strict=True)
-        for name in ("alpha", "rho", "learning_rate"):
-            finite_number(name, getattr(self, name), 0)
+        for name in ("lam", "alpha", "rho", "learning_rate"):
+            value = finite_number(name, getattr(self, name), 0, strict=name == "lam")
+            setattr(self, name, value)
 
 
 def _check_pair(phi, M):

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from xsdc.balancing import (
+    MAX_MU_DOUBLINGS,
     _DUAL_INCREASE_LIMIT,
     _DUAL_INCREASE_TOL,
     _STOP_TOL,
@@ -319,12 +320,12 @@ def _run_fuzz(seed, count=320):
             continue
         # each weight of the doubling ladder must meet the oracle
         mu = problem.mu
-        for _ in range(6):
+        for _ in range(MAX_MU_DOUBLINGS):
             mu *= 2.0
             result, error = assert_matches_oracle(problem, mu=mu)
             if error is None:
                 break
-        doubled, doubling_error = _outcome(balance_doubling, problem, max_doublings=6)
+        doubled, doubling_error = _outcome(balance_doubling, problem)
         assert doubling_error == error
         if error is None:
             assert doubled.mu == mu

@@ -273,13 +273,36 @@ class TestBalance:
         assert result.mu > 1.0
         assert np.all(np.isfinite(result.M))
 
+    def test_non_finite_weight_override_rejected(self):
+        # mu = NaN used to pass float(mu) <= 0 and raise BalancingDivergence
+        problem = BalancingProblem(np.zeros((4, 4)), diagonal_known(4), 2.0, 2.0, mu=1.0)
+        for mu in (np.nan, np.inf, 0.0, True):
+            with pytest.raises(ValueError, match="^mu must be a finite number above 0"):
+                balance(problem, mu=mu)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_max=np.inf), "n_max"), (dict(n_min=np.nan), "n_min"),
+        (dict(n_min=-1.0), "n_min"), (dict(mu=np.inf), "mu"),
+    ])
+    def test_non_finite_problem_settings_rejected(self, kwargs, name):
+        # n_max = inf used to be accepted and fail in balance as an overflow
+        args = {"n_min": 1.0, "n_max": 2.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            BalancingProblem(np.eye(4), diagonal_known(4), **args)
+
+    def test_problem_stores_python_floats(self):
+        problem = BalancingProblem(np.eye(4), diagonal_known(4), 1, np.int64(2), mu="0.5")
+        assert [(type(v), v) for v in (problem.n_min, problem.n_max, problem.mu)] == [
+            (float, 1.0), (float, 2.0), (float, 0.5)
+        ]
+
     def test_doubling_gives_up(self):
         n = 4
-        A = np.full((n, n), -1e30)  # exp(-A/mu) overflows at every mu tried
+        A = np.full((n, n), -1e30)  # exp(-A/mu) overflows at all 21 weights of the ladder
         np.fill_diagonal(A, 0.0)
         problem = BalancingProblem(A, diagonal_known(n), 2.0, 2.0, mu=1e-12, iters=5)
         with pytest.raises(BalancingDivergence):
-            balance_doubling(problem, max_doublings=3)
+            balance_doubling(problem)
 
 
 def _contract_case(name):

@@ -144,13 +144,15 @@ class TestTrainCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "key, value", [("balance_iters", 0), ("batch_size", 32.7), ("main_iters", 5.5)]
+        "key, value", [("balance_iters", 0), ("batch_size", 32.7), ("main_iters", 5.5),
+                       ("eval_every", True), ("seed", True)]
     )
     def test_invalid_integer_setting_exits_before_training(
         self, tmp_path, capsys, key, value
     ):
         # balance_iters 0 used to fail after two init steps as TrainingDiverged
-        # (exit 3); 32.7 and 5.5 used to train at 32 and 5 and record 32.7 and 5.5
+        # (exit 3); 32.7 and 5.5 used to train at 32 and 5 and record 32.7 and 5.5,
+        # and true to train at 1 and record 1
         config = tmp_path / "config.json"
         doc = _write_config(config, tmp_path / "out")
         doc["train"][key] = value
@@ -165,13 +167,14 @@ class TestTrainCommand:
         ("epsilon", float("nan")), ("lam", float("inf")), ("sigma", float("inf")),
         ("learning_rate", float("nan")), ("alpha", float("inf")),
         ("rho", float("nan")), ("init_learning_rate", float("inf")),
-        ("mu", float("-inf")),
+        ("mu", float("-inf")), ("lam", True), ("alpha", True),
     ])
     def test_non_finite_float_setting_exits_before_training(
         self, tmp_path, capsys, key, value
     ):
         # epsilon NaN, lam inf and sigma inf used to exit 3 as TrainingDiverged,
-        # learning_rate NaN after one metric event
+        # learning_rate NaN after one metric event; true used to train as 1 and
+        # be recorded as true
         config = tmp_path / "config.json"
         doc = _write_config(config, tmp_path / "out")
         doc["train"][key] = value
@@ -181,6 +184,53 @@ class TestTrainCommand:
         assert [e["event"] for e in events] == ["error"]
         assert events[0]["error"] == "ValueError"
         assert events[0]["message"].startswith(f"{key} must be a finite number")
+
+    def test_numeric_string_settings_train_and_are_stored_as_floats(
+        self, tmp_path, capsys
+    ):
+        # lam "0.1" used to fail at the first step with a TypeError, and mu
+        # "0.5" to train and be written to summary.json as a string
+        config = tmp_path / "config.json"
+        out = tmp_path / "out"
+        doc = _write_config(config, out)
+        doc["train"].update(lam="0.1", mu="0.5")
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        stored = json.loads((out / "summary.json").read_text())["config"]
+        assert [(stored[k], type(stored[k])) for k in ("lam", "mu")] == [
+            (0.1, float), (0.5, float)
+        ]
+
+    @pytest.mark.parametrize("block, value, typo", [
+        ("split", {"fractoins": [0.5, 0.25, 0.25]}, "fractoins"),
+        ("imbalance", {"class_fractions": [0.5, 0.3, 0.2], "sead": 1}, "sead"),
+    ], ids=["split", "imbalance"])
+    def test_unknown_key_in_dataset_block_exits_before_training(
+        self, tmp_path, capsys, block, value, typo
+    ):
+        # both misspellings used to be ignored
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["dataset"][block] = value
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["error"] == "TypeError"
+        assert typo in events[0]["message"]
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_standardize_must_be_boolean(self, tmp_path, capsys, value):
+        # "no" used to standardize the data
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["dataset"]["standardize"] = value
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["message"].startswith("standardize must be true or false")
 
     @pytest.mark.parametrize(
         "entry", [[1, 2], [float("inf"), 2, 1], [0, 1, 1, 7], [1e30, 2, 1]]
@@ -308,6 +358,25 @@ class TestBalanceCommand:
         events = _events(capsys.readouterr().err)
         assert code == 2
         assert "line 1" in events[-1]["message"]
+
+    @pytest.mark.parametrize("settings, name", [
+        (["--n-min", "1", "--n-max", "inf"], "n_max"),
+        (["--n-min", "nan", "--n-max", "2"], "n_min"),
+        (["--n-min", "1", "--n-max", "2", "--mu", "inf"], "mu"),
+        (["--n-min", "1", "--n-max", "2", "--mu", "nan"], "mu"),
+    ], ids=["n_max-inf", "n_min-nan", "mu-inf", "mu-nan"])
+    def test_non_finite_bound_or_weight_rejected(self, tmp_path, capsys, settings, name):
+        # --n-max inf used to exit 3 on an exp overflow, --mu inf to exit 0
+        # and write "mu": Infinity
+        matrix = tmp_path / "A.csv"
+        np.savetxt(matrix, np.eye(4), delimiter=",")
+        code = cli.main([
+            "balance", "--matrix", str(matrix), *settings, "--out-dir", str(tmp_path / "b"),
+        ])
+        events = _events(capsys.readouterr().err)
+        assert code == 2
+        assert events[-1]["message"].startswith(f"{name} must be a finite number")
+        assert not (tmp_path / "b").exists()
 
     def test_non_square_matrix_rejected(self, tmp_path, capsys):
         matrix = tmp_path / "A.csv"
@@ -457,6 +526,22 @@ class TestVerificationCommands:
         code = cli.main(["gradcheck", "--sizes", "6,3"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["smoothness", "--B", "4", "--n", "30", "--n-max", "10", "--lam", "0.1",
+          "--samples", "0"], "samples"),
+        (["gradcheck", "--repeats", "0"], "repeats"),
+        (["gradcheck", "--repeats", "-3"], "repeats"),
+    ], ids=["samples-0", "repeats-0", "repeats-neg"])
+    def test_verification_that_checks_nothing_is_a_usage_error(self, capsys, argv, name):
+        # each used to exit 0, smoothness printing PASS over no samples
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert _events(captured.err)[-1]["message"].startswith(
+            f"{name} must be a whole number of at least 1"
+        )
 
     def test_smoothness_passes(self, capsys):
         code = cli.main([

@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from xsdc.data import (
     Dataset,
+    assign_splits,
     finite_number,
     imbalance,
     load_csv,
@@ -253,6 +254,10 @@ def test_blobs_validation():
         make_blobs(10, 2, 2, -1.0, 0.5)
     with pytest.raises(ValueError):
         make_blobs(10, 2, 2, 1.0, 1.5)
+    # separation NaN used to build the separation-0 dataset as "sep=nan"
+    for separation, fraction in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, True)):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            make_blobs(10, 2, 2, separation, fraction)
 
 
 @pytest.mark.parametrize("name", ["n", "d", "k"])
@@ -280,7 +285,8 @@ def test_fractional_k_rejected(tmp_path):
     (0, False, 0.0), (np.float64(2.5), True, 2.5), ("1e-3", True, 1e-3),
     (0.0, True, None), (-1e-300, False, None), (np.nan, False, None),
     (np.inf, False, None), (-np.inf, False, None), (None, False, None),
-    ("x", False, None),
+    ("x", False, None), (True, False, None), (False, False, None),
+    (np.True_, False, None),
 ])
 def test_finite_number(value, strict, expected):
     if expected is None:
@@ -345,6 +351,19 @@ def test_imbalance_validation():
         imbalance(ds, [0.5, 0.5, 0.0])
     with pytest.raises(ValueError):
         imbalance(ds, [1.2, -0.2])
+    # NaN used to pass and fail later as "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="must be nonnegative and sum to 1"):
+        imbalance(ds, [np.nan, 1.0])
+
+
+@pytest.mark.parametrize("fractions", [
+    (0.6, 0.4), (0.7, 0.5, -0.2), (0.5, 0.25, 0.2), (np.nan, 0.5, 0.5),
+])
+def test_assign_splits_validation(fractions):
+    # NaN used to pass and fail later as "split tags must be from ..."
+    ds = make_blobs(n=60, d=2, k=2, separation=4.0, label_fraction=0.2, seed=13)
+    with pytest.raises(ValueError, match="^fractions must be three nonnegative values"):
+        assign_splits(ds, fractions=fractions)
 
 
 # -------------------------------------------------------------------- dataset

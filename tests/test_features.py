@@ -84,12 +84,6 @@ class TestMedianBandwidth:
         X = rng.normal(size=(1200, 10))
         assert median_bandwidth(X) == float(np.median(pdist(X[:1000])))
 
-    def test_max_points_below_two_rejected(self):
-        X = np.random.default_rng(4).normal(size=(10, 3))
-        for max_points in (1, 0, -3):
-            with pytest.raises(ValueError, match="max_points"):
-                median_bandwidth(X, max_points=max_points)
-
     def test_non_finite_rows_rejected(self):
         X = np.random.default_rng(5).normal(size=(10, 3))
         for bad in (np.nan, np.inf):
@@ -106,11 +100,6 @@ class TestMedianBandwidth:
         X = np.array([[0.0], [1.0], [2.0], [4.0]])
         # distances 1,2,4,1,3,2 sorted 1,1,2,2,3,4 -> median 2
         assert median_bandwidth(X) == 2.0
-
-    def test_max_points_crops(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(50, 2))
-        assert median_bandwidth(X, max_points=10) == median_bandwidth(X[:10])
 
     def test_identical_rows_rejected(self):
         with pytest.raises(ValueError):

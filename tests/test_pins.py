@@ -156,7 +156,8 @@ FAILURES = (
 
 @pytest.mark.parametrize("form", ["list", "array", "int64"])
 def test_validation_matches_dict_code(form):
-    # int64 is the form the trainer hands in; it takes the integral cases only
+    # array is the form the trainer hands in (_batch_known gives a float64
+    # (m, 3) array); int64 takes the integral cases only
     rng = np.random.default_rng(1)
     outcomes = set()
     for _ in range(400):

@@ -497,12 +497,39 @@ def test_malformed_constraint_entries_rejected(entries, message):
 def test_integer_settings_are_whole_and_bounded(name, minimum):
     # fractions used to be truncated at use; seed, num_landmarks, balance_iters
     # and newton_iters below their minimums used to pass unchecked
-    for bad in (minimum - 1, minimum + 0.5, float("nan"), float("inf"), "3", None):
+    for bad in (minimum - 1, minimum + 0.5, float("nan"), float("inf"), "3", None,
+                True, np.True_):
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
             TrainConfig(**{name: bad})
     for good in (np.int64(minimum), float(minimum + 1)):
         stored = getattr(TrainConfig(**{name: good}), name)
         assert type(stored) is int and stored == good
+
+
+@pytest.mark.parametrize("name, value", [
+    ("labeled_batch_fraction", "0.5"), ("init_learning_rate", 1), ("mu", "0.5"),
+    ("n_min_frac", np.float32(0.25)), ("n_max_frac", 1), ("sigma", "2"),
+    ("epsilon", 0), ("lam", "0.1"), ("alpha", 0), ("rho", np.int64(1)),
+    ("learning_rate", "0.03125"),
+])
+def test_float_settings_are_stored_as_checked(name, value):
+    # each used to be stored as given: a string, an int or a numpy scalar
+    cfg = TrainConfig.from_dict({name: value})
+    stored = cfg.to_dict()[name]
+    assert (type(stored), stored) == (float, float(value))
+
+
+@pytest.mark.parametrize("name", ["labeled_batch_fraction", "n_min_frac", "n_max_frac"])
+def test_fraction_settings_at_most_one(name):
+    assert getattr(TrainConfig(**{name: 1}), name) == 1.0
+    with pytest.raises(ValueError, match=f"^{name} must be at most 1"):
+        TrainConfig(**{name: 1.5})
+
+
+def test_sweep_grid_values_go_through_the_config_checks():
+    # a boolean grid value used to be taken as 1.0 and trained
+    with pytest.raises(ValueError, match="^lam must be a finite number"):
+        sweep(_blobs(), {"lam": [True]}, _small_config())
 
 
 def test_integral_float_settings_train_and_serialize_as_int():
