@@ -22,6 +22,7 @@ n_min = n_max the method reduces to symmetric Sinkhorn scaling.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -241,7 +242,8 @@ def balance(problem, mu=None):
 
     box clipping to [n_min, n_max], then one product N_free u, which the
     next round's row and the dual reuse: one n x n product per round, no
-    n x n matrix built and no n x n log taken.  The dual at the new u is
+    n x n matrix built and no n x n log taken.  A round allocates nothing:
+    it works in n-vectors kept for the whole call.  The dual at the new u is
 
         D(u) = u^T N_free u - 2 (n_sigma - c)^T log u + 2 n_delta ||log u||_1,
 
@@ -281,44 +283,58 @@ def balance(problem, mu=None):
     tol = _STOP_TOL * problem.n_max
 
     pi, pj, m = problem.pins
-    c = np.bincount(pi[m == 1.0], minlength=n)  # ones pins per row
+    c = np.bincount(pi[m == 1.0], minlength=n).astype(np.float64)  # ones pins per row
+    flat = pi * n + pj  # the pins in the flattened kernel, a quicker index
 
     with np.errstate(over="ignore", under="ignore"):
-        # N_free = exp(-Q_tilde), taken in the buffer of Q_tilde
-        N_free = problem.A / mu
-        N_free -= np.log(problem.prior())
-        np.exp(np.negative(N_free, out=N_free), out=N_free)
-    if not np.all(np.isfinite(N_free)):
+        # N_free = exp(-Q_tilde) = exp(A / -mu + log prior), in one buffer
+        N_free = problem.A / -mu
+        N_free += np.log(problem.prior())
+        np.exp(N_free, out=N_free)
+    # entries are >= 0 or NaN, and max propagates NaN
+    if not math.isfinite(N_free.max(initial=0.0)):
         raise BalancingDivergence(
             f"exp overflow building the balancing kernel at mu={mu:.3e}",
             round_index=0,
         )
-    N_free[pi, pj] = 0.0
+    N_free.reshape(-1)[flat] = 0.0
 
     u = np.ones(n)
     log_u = np.zeros(n)
+    row, target, work = np.empty(n), np.empty(n), np.empty(n)
+    excess = n_sigma - c
     trajectory = []
     increases = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Nu = N_free @ u
         for t in range(problem.iters):
-            row = Nu + c / u
-            target = row.clip(box_lo, box_hi)
-            # NaN sums fail the comparison and do not stop
-            if t and np.abs(u * row - target).max() <= tol:
-                break
-            log_u = (1.0 - _OMEGA) * log_u + _OMEGA * np.log(target / row)
-            u = np.exp(log_u)
-            if not np.isfinite(u.max()):  # max propagates NaN
+            np.divide(c, u, out=row)
+            row += Nu
+            # clip without its wrapper; NaN propagates as with clip
+            np.minimum(np.maximum(row, box_lo, out=target), box_hi, out=target)
+            if t:
+                np.multiply(u, row, out=work)
+                work -= target
+                # NaN sums fail the comparison and do not stop
+                if np.abs(work, out=work).max() <= tol:
+                    break
+            np.log(np.divide(target, row, out=work), out=work)
+            work *= _OMEGA
+            log_u *= 1.0 - _OMEGA
+            log_u += work
+            np.exp(log_u, out=u)
+            if not math.isfinite(u.max()):  # max propagates NaN
                 raise BalancingDivergence(
                     f"non-finite scalings at round {t} (mu={mu:.3e})",
                     round_index=t,
                 )
-            Nu = N_free @ u  # also the next round's row product
-            dual = float(u @ Nu)
-            dual -= 2.0 * float((n_sigma - c) @ log_u)
-            dual += 2.0 * n_delta * float(np.abs(log_u).sum())
-            if not np.isfinite(dual):
+            np.dot(N_free, u, out=Nu)  # also the next round's row product
+            dual = float(u.dot(Nu))
+            dual -= 2.0 * float(excess.dot(log_u))
+            if n_delta > 0:
+                # a non-finite log u already makes the term above non-finite
+                dual += 2.0 * n_delta * float(np.abs(log_u, out=work).sum())
+            if not math.isfinite(dual):
                 raise BalancingDivergence(
                     f"non-finite dual objective at round {t} (mu={mu:.3e})",
                     round_index=t,
@@ -338,6 +354,7 @@ def balance(problem, mu=None):
     # M = (u_i N_ij) u_j on and above the diagonal, a block of rows at a
     # time, mirrored below it: exactly symmetric, and finite wherever M is
     # (u_i u_j alone can overflow where N_ij is 0); no second n x n array
+    lower = np.tri(64, k=-1, dtype=bool)  # below the diagonal of a block
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, 64):
             e = min(s + 64, n)
@@ -345,12 +362,12 @@ def balance(problem, mu=None):
             rows *= u[s:e, None]
             rows *= u[s:]
             N_free[e:, s:e] = rows[:, e - s:].T
-            i, j = np.tril_indices(e - s, -1)
-            rows[i, j] = rows[j, i]
+            block = rows[:, :e - s]
+            np.copyto(block, block.T, where=lower[:e - s, :e - s])
     M = N_free
-    M[pi, pj] = m
+    M.reshape(-1)[flat] = m
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
-    known_violation = float(np.max(np.abs(M[pi, pj] - m), initial=0.0))
+    known_violation = float(np.max(np.abs(M.reshape(-1)[flat] - m), initial=0.0))
     return EquivalenceMatrix(
         M=M,
         u=u,

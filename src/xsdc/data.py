@@ -305,7 +305,7 @@ def assign_splits(ds, fractions=SPLIT_FRACTIONS, seed=0):
     # written so that a NaN fraction fails
     if len(fractions) != 3 or not (min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ValueError("fractions must be three nonnegative values summing to 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number("seed", seed, 0))
     return replace(ds, split=_stratified_split(ds.true_labels, rng, fractions))
 
 
@@ -325,7 +325,7 @@ def make_blobs(n, d, k, separation, label_fraction, seed=0):
     label_fraction = finite_number("label_fraction", label_fraction, 0)
     if label_fraction > 1.0:
         raise ValueError(f"label_fraction must be in [0,1], got {label_fraction}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number("seed", seed, 0))
     centers = rng.normal(size=(k, d))
     if k > 1:
         gaps = [
@@ -384,7 +384,7 @@ def imbalance(ds, class_fractions, seed=0):
     while total > 0 and np.any(_apportion(total, fractions) > avail):
         total -= 1
     targets = _apportion(total, fractions)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number("seed", seed, 0))
     drop = np.zeros(ds.n, dtype=bool)
     for c in range(ds.k):
         members = pool[ds.true_labels[pool] == c]

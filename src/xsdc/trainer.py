@@ -441,9 +441,9 @@ def _batch_pairs(rows, constraints, n):
     """Batch positions (c, 2) and values of the constraints inside the batch."""
     position = np.full(n, -1)
     position[rows] = np.arange(rows.size)
-    pos = position[constraints[:, :2]]
-    inside = np.all(pos >= 0, axis=1)
-    return pos[inside], constraints[inside, 2]
+    i, j = position[constraints[:, 0]], position[constraints[:, 1]]
+    inside = np.minimum(i, j) >= 0
+    return np.column_stack([i[inside], j[inside]]), constraints[inside, 2]
 
 
 def _checkpoint_doc(layer, classifier, config):

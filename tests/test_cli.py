@@ -220,6 +220,17 @@ class TestTrainCommand:
         assert events[0]["error"] == "TypeError"
         assert typo in events[0]["message"]
 
+    def test_boolean_dataset_seed_exits_before_training(self, tmp_path, capsys):
+        # "seed": true used to train on the data of seed 1
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["dataset"]["seed"] = True
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert [e["event"] for e in events] == ["error"]
+        assert events[0]["message"].startswith("seed must be a whole number")
+
     @pytest.mark.parametrize("value", ["no", 1, None])
     def test_standardize_must_be_boolean(self, tmp_path, capsys, value):
         # "no" used to standardize the data

@@ -297,6 +297,30 @@ def test_finite_number(value, strict, expected):
         assert (type(got), got) == (float, expected)
 
 
+_SEEDED = {
+    "make_blobs": lambda seed: make_blobs(40, 3, 2, 1.0, 0.5, seed=seed),
+    "assign_splits": lambda seed: assign_splits(make_blobs(40, 3, 2, 1.0, 0.5), seed=seed),
+    "imbalance": lambda seed: imbalance(make_blobs(40, 3, 2, 1.0, 0.1), [0.7, 0.3], seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seed_must_be_a_whole_number(name, seed):
+    # a boolean seed used to draw as 0 or 1, and 1.5 failed inside
+    # SeedSequence with a TypeError
+    with pytest.raises(ValueError, match="^seed must be a whole number of at least 0"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_integer_seeds_draw_alike(name):
+    a, b = _SEEDED[name](7), _SEEDED[name](np.int64(7))
+    assert a.X.tobytes() == b.X.tobytes()
+    assert np.array_equal(a.labels, b.labels) and np.array_equal(a.split, b.split)
+    assert not np.array_equal(a.split, _SEEDED[name](8).split)
+
+
 # ------------------------------------------------------------------ imbalance
 
 def test_imbalance_uniform_keeps_balanced_dataset():

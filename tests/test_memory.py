@@ -78,7 +78,8 @@ def test_problem_keeps_no_square_pin_state():
 
 
 def test_balance_forms_M_in_the_kernel_buffer():
-    # the free kernel, which becomes M in place, and its finiteness check
+    # the free kernel, which becomes M in place; its finiteness is checked
+    # through its max, with no (n, n) bool array
     A, known = _pinned_batch()
 
     def call():

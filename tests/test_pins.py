@@ -116,6 +116,36 @@ def test_batch_pins_match_triple_lists(label_share):
         assert pairs == old_pairs
 
 
+def previous_batch_pairs(rows, constraints, n):
+    """_batch_pairs before it gathered each constraint column on its own."""
+    position = np.full(n, -1)
+    position[rows] = np.arange(rows.size)
+    pos = position[constraints[:, :2]]
+    inside = np.all(pos >= 0, axis=1)
+    return pos[inside], constraints[inside, 2]
+
+
+def test_batch_pairs_match_previous_gather():
+    rng = np.random.default_rng(4)
+    n = 60
+    for trial in range(200):
+        truth = rng.integers(0, 3, size=n)
+        count = 0 if trial % 10 == 0 else int(rng.integers(1, 150))
+        constraints = np.array(
+            random_constraints(rng, truth, count), dtype=np.int64
+        ).reshape(-1, 3)
+        rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        got = _batch_pairs(rows, constraints, n)
+        expected = previous_batch_pairs(rows, constraints, n)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+    empty = np.empty((0, 3), dtype=np.int64)
+    pos, values = _batch_pairs(np.arange(5), empty, n)
+    assert pos.shape == (0, 2) and pos.dtype == np.int64
+    assert values.shape == (0,) and values.dtype == np.int64
+
+
 def corrupted_known(rng, n):
     """A valid pin list for n rows, shuffled and duplicated, with 0-2 faults."""
     labels = rng.integers(0, 3, size=n)
