@@ -130,8 +130,8 @@ class BalancingProblem:
 
     Attributes
     ----------
-    A : (n, n) coupling cost; stored as its symmetric part (A + A^T) / 2,
-        which is A itself, bitwise, when A is symmetric
+    A : (n, n) coupling cost; stored C-ordered as its symmetric part
+        (A + A^T) / 2, which is A itself, bitwise, when A is symmetric
     known : (i, j, m) pinned entries with m in {0, 1}, as a list of triples
         or an (m, 3) float or int array; the indices must be finite
         integers.  Must contain the full diagonal (i, i, 1) and be closed
@@ -158,7 +158,7 @@ class BalancingProblem:
     pins: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
+        self.A = np.ascontiguousarray(self.A, dtype=np.float64)
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if not np.all(np.isfinite(self.A)):
@@ -287,8 +287,9 @@ def balance(problem, mu=None):
     flat = pi * n + pj  # the pins in the flattened kernel, a quicker index
 
     with np.errstate(over="ignore", under="ignore"):
-        # N_free = exp(-Q_tilde) = exp(A / -mu + log prior), in one buffer
-        N_free = problem.A / -mu
+        # N_free = exp(-Q_tilde) = exp(A / -mu + log prior), in one C-ordered
+        # buffer, so that reshape(-1) below is a view whatever A's layout
+        N_free = np.divide(problem.A, -mu, order="C")
         N_free += np.log(problem.prior())
         np.exp(N_free, out=N_free)
     # entries are >= 0 or NaN, and max propagates NaN

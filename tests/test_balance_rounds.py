@@ -247,3 +247,38 @@ def test_blocks_past_64_rows():
     result, error = assert_bitwise_previous(problem)
     assert error is None
     assert np.array_equal(result.M, result.M.T)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_any_layout_of_A_pins_exactly(layout):
+    """A symmetric A in Fortran order, or the transposed view of one, gives
+    the bits of the C-ordered A, with the pinned kernel entries zeroed and
+    the pins exact in M; also when A is replaced after the checks."""
+    rng = np.random.default_rng(5)
+    n = 90
+    labels = rng.integers(0, 3, size=n)
+    phi = rng.normal(size=(n, 4)) + 3.0 * np.eye(3, 4)[labels]
+    A = -(phi @ phi.T) / 4.0
+    shown = np.flatnonzero(rng.random(n) < 0.3)
+    known = [(i, i, 1) for i in range(n)] + [
+        (int(a), int(b), float(labels[a] == labels[b]))
+        for a in shown for b in shown if a != b
+    ]
+    other = np.asfortranarray(A) if layout == "fortran" else np.ascontiguousarray(A).T
+    assert not other.flags.c_contiguous
+    expected = balance(BalancingProblem(A, known, 20.0, 40.0, iters=30))
+
+    problem = BalancingProblem(other, known, 20.0, 40.0, iters=30)
+    result, error = assert_bitwise_previous(problem)
+    assert error is None
+    pi, pj, m = problem.pins
+    assert np.array_equal(result.M[pi, pj], m)
+    assert result.known_violation == 0.0
+    assert _bits(result.M) == _bits(expected.M)
+    assert _bits(result.u) == _bits(expected.u)
+
+    problem.A = other  # bypasses the C-ordered copy of the checks
+    replaced = balance(problem)
+    assert np.array_equal(replaced.M[pi, pj], m)
+    assert _bits(replaced.M) == _bits(expected.M)
+    assert _bits(replaced.u) == _bits(expected.u)
