@@ -76,12 +76,13 @@ def default_mu(A):
 def _pin_list(known, n):
     """Validate (i, j, m) triples into the row-major pin list (rows, cols, values).
 
-    Each triple's key 2 (i n + j) + (m == 1) carries its value in the low
+    A pin is symmetric: each triple pins its entry (i, j) and its mirror
+    (j, i).  Both carry the key 2 (i n + j) + (m == 1), the value in the low
     bit.  One sort of the keys puts duplicates next to each other and shows
-    a conflict as a change of that bit within one entry; the known set is
-    closed under transposition exactly when its sorted mirror keys equal the
-    distinct keys.  The first offending triple in input order is reported;
-    for that triple the checks run in the order listed below.
+    a conflict as a change of that bit within one entry, so (i, j, a) meets
+    (j, i, b) as (i, j, a) meets (i, j, b).  The first offending triple in
+    input order is reported; for that triple the checks run in the order
+    listed below.
     """
     known = np.asarray(known, dtype=np.float64).reshape(-1, 3)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
@@ -90,8 +91,9 @@ def _pin_list(known, n):
     whole = (i == known[:, 0]) & (j == known[:, 1])
     in_range = whole & (0 <= i) & (i < n) & (0 <= j) & (j < n)
     entry = np.where(in_range, i * n + j, -1)
+    mirror = np.where(in_range, j * n + i, -1)
     tag = m == 1.0
-    keys = np.sort(2 * entry + tag)
+    keys = np.sort(np.concatenate([2 * entry + tag, 2 * mirror + tag]))
     keys = keys[np.diff(keys, prepend=keys[:1] - 1) > 0]  # the distinct keys
     checks = [
         (~whole, "known entry ({i}, {j}) needs finite integer indices"),
@@ -100,8 +102,10 @@ def _pin_list(known, n):
         ((i == j) & (m == 0.0), "diagonal entry ({i}, {i}) pinned to 0 is infeasible"),
     ]
     if any(bad.any() for bad, _ in checks) or np.any(keys[1:] >> 1 == keys[:-1] >> 1):
-        # a triple conflicts when the first triple at its entry pins another value
-        _, first, inverse = np.unique(entry, return_index=True, return_inverse=True)
+        # a triple conflicts when the first triple at its unordered pair
+        # pins another value
+        pair = np.minimum(entry, mirror)
+        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
         checks.append((m != m[first[inverse]], "conflicting known values at ({i}, {j})"))
         failed = np.array([bad for bad, _ in checks])
         t = int(np.argmax(failed.any(axis=0)))
@@ -109,19 +113,12 @@ def _pin_list(known, n):
         a, b = (int(x) if whole[t] else float(x) for x in known[t, :2])
         raise ValueError(message.format(i=a, j=b, m=float(m[t]), n=n))
     rows, cols = np.divmod(keys >> 1, n)
-    bit = keys & 1
-    if not np.array_equal(np.sort(2 * (cols * n + rows) + bit), keys):
-        # a triple is open when its mirror, tagged with its value, is absent
-        mirror = 2 * (j * n + i) + tag
-        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-        t = int(np.argmax(keys[at] != mirror))
-        raise ValueError(f"known set not closed under transposition at ({i[t]}, {j[t]})")
     pinned = np.zeros(n, dtype=bool)
     pinned[rows[rows == cols]] = True
     if m.size and not pinned.all():
         d = int(np.argmin(pinned))
         raise ValueError(f"diagonal entry ({d}, {d}) must be pinned to 1")
-    return rows, cols, bit.astype(np.float64)
+    return rows, cols, (keys & 1).astype(np.float64)
 
 
 @dataclass
@@ -134,9 +131,11 @@ class BalancingProblem:
         (A + A^T) / 2, which is A itself, bitwise, when A is symmetric
     known : (i, j, m) pinned entries with m in {0, 1}, as a list of triples
         or an (m, 3) float or int array; the indices must be finite
-        integers.  Must contain the full diagonal (i, i, 1) and be closed
-        under transposition; duplicates are allowed when they agree.  An
-        empty list is the pure-transport mode used by the Sinkhorn tests.
+        integers.  Each triple pins both (i, j) and its mirror (j, i), so
+        one orientation of a pair is enough; the two orientations, and
+        duplicates, must not pin different values.  Must contain the full
+        diagonal (i, i, 1).  An empty list is the pure-transport mode used
+        by the Sinkhorn tests.
         _pin_list stores them as pins = (rows, cols, values), each distinct
         pinned entry once in row-major order; no (n, n) array is kept.
     n_min, n_max : bounds on every row sum, finite with 0 <= n_min <= n_max
@@ -234,8 +233,7 @@ def balance(problem, mu=None):
     The kernel is the free kernel N_free, exp(-Q_tilde) with the pinned
     entries zeroed, plus the pinned multipliers 1 / (u_i u_j) of the ones
     pins, frozen at the u that starts the round.  With c_i the number of
-    ones pins in row i (pins are closed under transposition, so also in
-    column i), one round is
+    ones pins in row i (pins are symmetric, so also in column i), one round is
 
         row = N_free u + c / u
         u <- u^(1 - w) (box(row) / row)^w,    w = 3/4,

@@ -184,10 +184,10 @@ def _read_matrix(path):
 
 
 def _read_constraints(path):
-    """Constraint triples i,j,value, each also given mirrored as j,i,value.
+    """Constraint triples i,j,value as read.
 
-    BalancingProblem rejects conflicting values.  The mirrors come first, so
-    an asymmetric pair given as i,j,a and later j,i,b is named as (i, j).
+    BalancingProblem pins each entry's mirror and rejects conflicting
+    values, naming the later triple: i,j,a and later j,i,b as (j, i).
     """
     triples = []
     with open(path) as fh:
@@ -202,7 +202,7 @@ def _read_constraints(path):
                 triples.append((int(cells[0]), int(cells[1]), float(cells[2])))
             except ValueError:
                 raise ParseError(f"bad triple {line!r}", line=lineno) from None
-    return [(j, i, v) for i, j, v in triples] + triples
+    return triples
 
 
 def cmd_balance(args):

@@ -32,9 +32,7 @@ def rbf_kernel(A, B, sigma):
         raise ValueError(
             f"dimension mismatch: {A.shape[1]} vs {B.shape[1]} columns"
         )
-    sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = finite_number("sigma", sigma, 0, strict=True)
     sq = (
         (A * A).sum(axis=1)[:, None]
         + (B * B).sum(axis=1)[None, :]
@@ -171,12 +169,12 @@ def init_landmarks(X, num_landmarks, seed=0):
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
     n = X.shape[0]
-    num_landmarks = int(num_landmarks)
-    if not 1 <= num_landmarks <= n:
+    num_landmarks = whole_number("num_landmarks", num_landmarks, 1)
+    if num_landmarks > n:
         raise ValueError(
             f"num_landmarks must be in [1, {n}], got {num_landmarks}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number("seed", seed, 0))
     idx = rng.choice(n, size=num_landmarks, replace=False)
     return NystromLayer(landmarks=X[idx].T.copy(), sigma=median_bandwidth(X))
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+from .data import whole_number
 from .features import sqeuclidean
 from .linalg import ridge_solve
 
@@ -38,10 +39,15 @@ def nn_propagate(features_all, labeled_idx, labels_S):
 
     Labeled rows keep their labels.  Each unlabeled row takes the label of
     its nearest labeled row in Euclidean distance; distance ties prefer the
-    lowest observation index.  Non-finite features raise ValueError.
+    lowest observation index.  Non-finite features and labeled indices
+    that are not integers raise ValueError.
     """
     features_all = np.asarray(features_all, dtype=np.float64)
-    labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
+    given = np.asarray(labeled_idx)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison
+        labeled_idx = given.astype(np.int64)
+    if given.dtype == bool or not np.array_equal(labeled_idx, given):
+        raise ValueError("labeled_idx must hold integers")
     labels_S = np.asarray(labels_S, dtype=np.int64)
     if labeled_idx.size == 0:
         raise ValueError("no labeled observations to propagate from")
@@ -157,9 +163,10 @@ def spectral_cluster(M, k, seed=0):
     if not np.all(np.isfinite(M)):
         raise ValueError("M has non-finite entries")
     n = M.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
+    k = whole_number("k", k, 1)
+    if k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    seed = whole_number("seed", seed, 0)
     sym = 0.5 * (M + M.T)
     _, vecs = np.linalg.eigh(sym)
     embedding = vecs[:, -k:]
@@ -184,7 +191,7 @@ def hungarian_match(pred, truth, k=None):
         raise ValueError("labels must be nonnegative")
     if k is None:
         k = int(max(pred.max(), truth.max())) + 1
-    k = int(k)
+    k = whole_number("k", k, 1)
     if pred.max() >= k or truth.max() >= k:
         raise ValueError(f"labels exceed k={k}")
     table = np.zeros((k, k), dtype=np.int64)
@@ -251,7 +258,7 @@ def fit_final_classifier(features, labels, lam, k=None):
         raise ValueError("labels must be nonnegative (no unlabeled rows here)")
     if k is None:
         k = int(labels.max()) + 1
-    k = int(k)
+    k = whole_number("k", k, 1)
     if labels.max() >= k:
         raise ValueError(f"labels exceed k={k}")
     Y = np.zeros((labels.size, k))

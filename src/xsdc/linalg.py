@@ -8,6 +8,8 @@ subtracting the column means, which is O(n d) instead of O(n^2).
 import numpy as np
 from dataclasses import dataclass
 
+from .data import finite_number
+
 
 def _as_matrix(X, name):
     X = np.asarray(X, dtype=np.float64)
@@ -48,13 +50,6 @@ class RidgeSolution:
         return phi @ self.weights + self.intercept
 
 
-def _check_lam(lam):
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    return lam
-
-
 def _ridge_factor(phi, lam):
     """phi_c and R = L^{-T}, L L^T = G = phi_c^T phi_c + n lam I, so R R^T = G^{-1}.
     numpy's LAPACK: scipy's links a second OpenBLAS whose threads contend with
@@ -85,7 +80,7 @@ def ridge_solve(phi, Y, lam):
     """
     phi = _as_matrix(phi, "phi")
     Y = _as_matrix(Y, "Y")
-    lam = _check_lam(lam)
+    lam = finite_number("lam", lam, 0, strict=True)
     n = phi.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"phi has {n} rows but Y has {Y.shape[0]}")
@@ -113,7 +108,7 @@ def ridge_kernel(phi, lam):
     spectral norm at most 1 / (n lam).
     """
     phi = _as_matrix(phi, "phi")
-    lam = _check_lam(lam)
+    lam = finite_number("lam", lam, 0, strict=True)
     n = phi.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows to center, got {n}")

@@ -423,17 +423,17 @@ def _cluster_rows(layer, dataset, rows, config):
 def _batch_known(batch_labels, pairs, values):
     """Pinned entries of one batch as an (m, 3) array of (i, j, value) rows.
 
-    Pins the diagonal, every pair of labeled rows to its label agreement and,
-    in both orientations, each constraint pair inside the batch: pairs holds
-    their batch positions (c, 2) and values their 0/1 values, as
-    _batch_pairs gives them.
+    Pins the diagonal, every pair of labeled rows to its label agreement and
+    each constraint pair inside the batch, once: pairs holds their batch
+    positions (c, 2) and values their 0/1 values, as _batch_pairs gives
+    them.  BalancingProblem pins each entry's mirror.
     """
     labeled = np.flatnonzero(batch_labels >= 0)
     diagonal = np.arange(batch_labels.size)
-    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), *pairs.T])
-    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), *pairs.T[::-1]])
+    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pairs[:, 0]])
+    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pairs[:, 1]])
     agree = _agreement(batch_labels[labeled]).ravel()
-    m = np.concatenate([np.ones(diagonal.size), agree, values, values])
+    m = np.concatenate([np.ones(diagonal.size), agree, values])
     return np.column_stack([i, j, m])
 
 

@@ -130,8 +130,14 @@ def _outcome(fn, problem, mu):
 
 def assert_bitwise_previous(problem, mu=None):
     """Run both and compare every output bit for bit; return the outcome."""
-    result, error = _outcome(balance, problem, mu)
-    expected, expected_error = _outcome(previous_balance, problem, mu)
+    return assert_same_outcome(
+        _outcome(balance, problem, mu), _outcome(previous_balance, problem, mu)
+    )
+
+
+def assert_same_outcome(outcome, expected_outcome):
+    """Compare two _outcome results bit for bit; return the first."""
+    (result, error), (expected, expected_error) = outcome, expected_outcome
     assert error == expected_error
     if error is None:
         assert _bits(result.M) == _bits(expected.M)
@@ -218,6 +224,42 @@ def test_fuzz_bitwise_equal_to_previous_rounds(seed):
         seen["box"] += problem.n_delta > 0
         seen["zero pins"] += bool(np.any(problem.pins[2] == 0.0))
     # no draw reaches the two dual raises, which no known problem does
+    assert min(seen.values()) >= 3, seen
+
+
+def test_one_sided_known_matches_closed():
+    """BalancingProblem pins each entry's mirror: a closed known set with one
+    orientation of random pairs dropped, shuffled, gives the same pins and
+    the same bits of balance."""
+    rng = np.random.default_rng(6)
+    seen = dict.fromkeys(["one-sided ones", "one-sided zeros", "array", "raised"], 0)
+    for _ in range(200):
+        problem = _random_problem(rng)
+        closed = list(problem.known)
+        if closed:  # duplicates
+            closed += [closed[int(t)] for t in rng.integers(0, len(closed), size=3)]
+        drop = {}
+        for i, j, _ in closed:
+            if i != j and (j, i) not in drop:
+                drop.setdefault((i, j), rng.random() < 0.5)
+        dropped = [t[2] for t in closed if drop.get(t[:2], False)]
+        known = [t for t in closed if not drop.get(t[:2], False)]
+        known = [known[int(t)] for t in rng.permutation(len(known))]
+        seen["one-sided ones"] += 1 in dropped
+        seen["one-sided zeros"] += 0 in dropped
+        if rng.random() < 0.5:
+            known = np.array(known, dtype=np.float64).reshape(-1, 3)
+            seen["array"] += 1
+        one_sided = BalancingProblem(
+            problem.A, known, problem.n_min, problem.n_max, mu=problem.mu,
+            iters=problem.iters, num_clusters=problem.num_clusters,
+        )
+        for got, expected in zip(one_sided.pins, problem.pins):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        _, error = assert_same_outcome(
+            _outcome(balance, one_sided, None), _outcome(balance, problem, None)
+        )
+        seen["raised"] += error is not None
     assert min(seen.values()) >= 3, seen
 
 

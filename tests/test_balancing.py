@@ -95,10 +95,13 @@ class TestProblemValidation:
         return BalancingProblem(A, self.form(known), n_min, n_max)
 
     def test_transpose_closure_required(self):
+        # one orientation pins both entries
         A = np.zeros((3, 3))
         known = diagonal_known(3) + [(0, 1, 1)]
-        with pytest.raises(ValueError, match="transposition"):
-            self.problem(A, known)
+        rows, cols, values = self.problem(A, known).pins
+        assert rows.tolist() == [0, 0, 1, 1, 2]
+        assert cols.tolist() == [0, 1, 0, 1, 2]
+        assert values.tolist() == [1.0] * 5
 
     def test_diagonal_required_when_nonempty(self):
         A = np.zeros((3, 3))
@@ -128,9 +131,14 @@ class TestProblemValidation:
             self.problem(np.zeros((2, 2)), known)
 
     def test_one_sided_pin_past_every_key(self):
-        # the mirror key 2 of (0, 1) sorts past every pinned key
-        with pytest.raises(ValueError, match=r"not closed under transposition at \(0, 1\)"):
-            self.problem(np.zeros((2, 2)), [(0, 0, 1), (0, 1, 1)])
+        # the mirror (1, 0) of a one-sided pin sorts past every key given
+        # but that of (1, 1), and takes the pin's value
+        rows, cols, values = self.problem(
+            np.zeros((2, 2)), [(0, 0, 1), (0, 1, 0), (1, 1, 1)]
+        ).pins
+        assert rows.tolist() == [0, 0, 1, 1]
+        assert cols.tolist() == [0, 1, 0, 1]
+        assert values.tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_empty_known_is_pure_transport(self):
         problem = self.problem(np.zeros((3, 3)), [])

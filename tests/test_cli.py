@@ -335,7 +335,7 @@ class TestBalanceCommand:
         ])
         events = _events(capsys.readouterr().err)
         assert code == 2
-        assert "(0, 1)" in events[-1]["message"]
+        assert events[-1]["message"] == "conflicting known values at (1, 0)"
 
     def test_one_sided_pair_auto_closed(self, tmp_path, capsys):
         n = 6

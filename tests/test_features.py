@@ -47,6 +47,17 @@ class TestRbfKernel:
         with pytest.raises(ValueError):
             rbf_kernel(np.ones((2, 3)), np.ones((2, 3)), 0.0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0, -1.0, True, np.True_])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        # sigma = inf used to give an all-ones kernel
+        rng = np.random.default_rng(2)
+        A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        with pytest.raises(ValueError, match="^sigma must be a finite number above 0"):
+            rbf_kernel(A, B, sigma)
+        expected = rbf_kernel(A, B, 2.0)
+        for same in (2, np.float64(2.0), np.int64(2)):
+            assert rbf_kernel(A, B, same).tobytes() == expected.tobytes()
+
 
 class TestSqeuclidean:
     @pytest.mark.parametrize("p", range(1, 18))
@@ -142,6 +153,21 @@ class TestInitLandmarks:
             init_landmarks(X, 0)
         with pytest.raises(ValueError):
             init_landmarks(X, 7)
+
+    @pytest.mark.parametrize(
+        "num_landmarks, seed",
+        [(2.5, 0), (np.inf, 0), (True, 0), (2, True), (2, np.True_), (2, 1.5), (2, -1)],
+    )
+    def test_counts_must_be_whole(self, num_landmarks, seed):
+        # num_landmarks = 2.5 used to draw 2 landmarks, and seed=True ran as seed 1
+        X = np.random.default_rng(6).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="must be a whole number"):
+            init_landmarks(X, num_landmarks, seed=seed)
+        expected = init_landmarks(X, 3, seed=7)
+        for same_p, same_seed in [(np.int64(3), np.int64(7)), (3.0, 7.0)]:
+            got = init_landmarks(X, same_p, seed=same_seed)
+            assert got.landmarks.tobytes() == expected.landmarks.tobytes()
+            assert got.sigma == expected.sigma
 
 
 def small_layer(seed=0, d=3, p=4, sigma=1.2):

@@ -125,6 +125,20 @@ def test_propagate_validation():
         nn_propagate(X, [7], [0])
 
 
+@pytest.mark.parametrize(
+    "labeled", [[0.5], [np.nan], [np.inf], [True], np.array([2.0, 1.5])]
+)
+def test_propagate_rejects_non_integer_indices(labeled):
+    # [0.5] used to propagate from row 0
+    X = np.random.default_rng(12).normal(size=(6, 2))
+    with pytest.raises(ValueError, match="labeled_idx must hold integers"):
+        nn_propagate(X, labeled, [1] * len(labeled))
+    expected = nn_propagate(X, [2, 4], [1, 0]).labels
+    for dtype in (np.float64, np.int32, np.uint8):
+        same = np.array([2, 4], dtype=dtype)
+        assert np.array_equal(nn_propagate(X, same, [1, 0]).labels, expected)
+
+
 # ------------------------------------------------------------------- spectral
 
 def _block_equivalence(sizes, noise=0.0, seed=0):
@@ -182,6 +196,20 @@ def test_spectral_validation():
         spectral_cluster(np.eye(3), k=0)
     with pytest.raises(ValueError):
         spectral_cluster(np.eye(3), k=4)
+
+
+@pytest.mark.parametrize(
+    "k, seed",
+    [(2.5, 0), (np.inf, 0), (True, 0), (2, True), (2, np.True_), (2, 1.5), (2, -1)],
+)
+def test_spectral_counts_must_be_whole(k, seed):
+    # k = 2.5 used to cluster with k = 2, and seed=True ran as seed 1
+    M = _block_equivalence([4, 4], noise=0.3, seed=5)
+    with pytest.raises(ValueError, match="must be a whole number"):
+        spectral_cluster(M, k, seed=seed)
+    expected = spectral_cluster(M, 2, seed=11).labels
+    for same_k, same_seed in [(np.int64(2), np.int64(11)), (2.0, 11.0)]:
+        assert np.array_equal(spectral_cluster(M, same_k, seed=same_seed).labels, expected)
 
 
 def test_spectral_rejects_non_finite_matrix():
@@ -314,6 +342,18 @@ def test_hungarian_validation():
         hungarian_match([0, 3], [0, 1], k=2)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.5, np.inf, np.nan, True, 0])
+def test_hungarian_k_must_be_whole(k):
+    # k = 2.5 used to run as k = 2
+    pred, truth = [0, 1, 1, 0, 1], [1, 0, 0, 0, 1]
+    with pytest.raises(ValueError, match="^k must be a whole number"):
+        hungarian_match(pred, truth, k=k)
+    mapping, accuracy = hungarian_match(pred, truth, k=3)
+    for same in (np.int64(3), 3.0):
+        got = hungarian_match(pred, truth, k=same)
+        assert np.array_equal(got[0], mapping) and got[1] == accuracy
+
+
 # ----------------------------------------------------------------- classifier
 
 def test_classifier_separable_data_perfect():
@@ -364,6 +404,20 @@ def test_classifier_validation():
         fit_final_classifier(phi, np.array([0, 1, -1, 0, 1]), lam=1.0)
     with pytest.raises(ValueError):
         fit_final_classifier(phi, np.array([0, 1, 2, 0, 1]), lam=1.0, k=2)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.5, np.inf, np.nan, True])
+def test_classifier_k_must_be_whole(k):
+    # k = 2.5 used to run as k = 2
+    phi = np.random.default_rng(13).normal(size=(8, 3))
+    labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    with pytest.raises(ValueError, match="^k must be a whole number"):
+        fit_final_classifier(phi, labels, lam=0.1, k=k)
+    expected = fit_final_classifier(phi, labels, lam=0.1, k=3)
+    for same in (np.int64(3), 3.0):
+        got = fit_final_classifier(phi, labels, lam=0.1, k=same)
+        assert got.weights.tobytes() == expected.weights.tobytes()
+        assert got.intercept.tobytes() == expected.intercept.tobytes()
 
 
 def test_assignment_dataclass_defaults():

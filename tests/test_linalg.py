@@ -156,6 +156,19 @@ class TestRidgeKernel:
         with pytest.raises(ValueError):
             ridge_kernel(np.ones((1, 3)), 1.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0, True, np.True_])
+    def test_lam_must_be_finite_and_positive(self, lam):
+        # lam = True used to run as lam = 1; ridge_solve shares the check
+        rng = np.random.default_rng(10)
+        phi, Y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        fits = (lambda lam: ridge_kernel(phi, lam), lambda lam: ridge_solve(phi, Y, lam).weights)
+        for fit in fits:
+            with pytest.raises(ValueError, match="^lam must be a finite number above 0"):
+                fit(lam)
+            expected = fit(2.0)
+            for same in (2, np.float64(2.0), np.int64(2)):
+                assert fit(same).tobytes() == expected.tobytes()
+
 
 class TestNewtonInvSqrt:
     def test_identity(self):

@@ -2,9 +2,10 @@
 
 The oracle functions are frozen copies of the former pin handling: the
 trainer's per-batch triple lists and the dict that BalancingProblem built
-from them.  The pin list (rows, cols, values) must hold exactly the entries
-of that dict in row-major order, the order np.nonzero lists a mask in, and
-validation must fail with the same messages.
+from them, which pins each triple's mirror too.  The pin list (rows, cols,
+values) must hold exactly the entries of that dict in row-major order, the
+order np.nonzero lists a mask in, and validation must fail with the same
+messages.
 """
 
 import warnings
@@ -26,14 +27,9 @@ def oracle_normalize_known(known, n):
             raise ValueError(f"known value must be 0 or 1, got {m} at ({i}, {j})")
         if i == j and m == 0.0:
             raise ValueError(f"diagonal entry ({i}, {i}) pinned to 0 is infeasible")
-        if (i, j) in entries and entries[(i, j)] != m:
+        if entries.get((i, j), m) != m:
             raise ValueError(f"conflicting known values at ({i}, {j})")
-        entries[(i, j)] = m
-    for (i, j), m in entries.items():
-        if entries.get((j, i)) != m:
-            raise ValueError(
-                f"known set not closed under transposition at ({i}, {j})"
-            )
+        entries[(i, j)] = entries[(j, i)] = m
     if entries:
         missing = [i for i in range(n) if entries.get((i, i)) != 1.0]
         if missing:
@@ -167,7 +163,7 @@ def corrupted_known(rng, n):
             (i, j, float(rng.choice([0.5, 2.0, -1.0]))),  # bad value
             (i, i, 0.0),  # zero diagonal
             (i, j, 1.0 - agree),  # conflict, unless (i, j) is not pinned yet
-            (i, j, agree),  # unmatched, unless (j, i) is pinned
+            (i, j, agree),  # one-sided, unless (j, i) is pinned
             None,  # drop a diagonal entry
         ]
         fault = faults[int(rng.integers(0, len(faults)))]
@@ -180,7 +176,7 @@ def corrupted_known(rng, n):
 
 FAILURES = (
     "out of range", "must be 0 or 1", "pinned to 0 is infeasible",
-    "conflicting", "not closed", "must be pinned to 1",
+    "conflicting", "must be pinned to 1",
 )
 
 
@@ -222,23 +218,29 @@ def test_transposition_check_on_int64_columns():
     assert rows.tolist() == [i for (i, _), _ in entries]
     assert cols.tolist() == [j for (_, j), _ in entries]
     assert values.tolist() == [m for _, m in entries]
-    for known in (diagonal + pairs[:1] + pairs[2:], diagonal + pairs[:3] + [(9, 7, 0.0)]):
-        with pytest.raises(ValueError) as caught:
-            _pin_list(known, n)
-        with pytest.raises(ValueError) as expected:
-            oracle_normalize_known(known, n)
-        assert str(caught.value) == str(expected.value)
+    # the one-sided pin past 2**31 is mirrored
+    one_sided = _pin_list(diagonal + pairs[:1] + pairs[2:], n)
+    for got, full in zip(one_sided, (rows, cols, values)):
+        assert np.array_equal(got, full)
+    known = diagonal + pairs[:3] + [(9, 7, 0.0)]
+    with pytest.raises(ValueError) as caught:
+        _pin_list(known, n)
+    with pytest.raises(ValueError) as expected:
+        oracle_normalize_known(known, n)
+    assert str(caught.value) == str(expected.value) == "conflicting known values at (9, 7)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_mirror_pinning_another_value_is_open(n):
-    """A pair whose two orientations pin different values is not closed."""
+    """A pair whose two orientations pin different values is a conflict,
+    named at the later orientation."""
     diagonal = [(i, i, 1.0) for i in range(n)]
     for pair in ([(0, n - 1, 1.0), (n - 1, 0, 0.0)], [(n - 1, 0, 0.0), (0, n - 1, 1.0)]):
         for known in (diagonal + pair, pair + diagonal):
             with pytest.raises(ValueError) as expected:
                 oracle_normalize_known(known, n)
-            assert "not closed" in str(expected.value)
+            i, j = pair[1][:2]
+            assert str(expected.value) == f"conflicting known values at ({i}, {j})"
             for form in (list, np.array):
                 with pytest.raises(ValueError) as caught:
                     _pin_list(form(known), n)
