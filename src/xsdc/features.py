@@ -6,17 +6,17 @@ batch X to
 
     phi_raw = k(X, V) (k(V, V) + epsilon I)^{-1/2}
 
-with the inverse square root computed by the fixed-length coupled Newton
-iteration, followed by per-batch centering and scaling so the rows have unit
-mean squared norm.  The backward pass is the exact reverse-mode sweep of that
-composition; only the landmarks are treated as parameters.
+with the inverse square root computed in closed form from one symmetric
+eigendecomposition, followed by per-batch centering and scaling so the rows
+have unit mean squared norm.  The backward pass is the exact reverse-mode
+sweep of that composition; only the landmarks are treated as parameters.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from .data import finite_number, whole_number
-from .linalg import newton_inv_sqrt_cached, newton_inv_sqrt_vjp
+from .linalg import inv_sqrt, inv_sqrt_vjp
 
 
 def rbf_kernel(A, B, sigma):
@@ -126,13 +126,11 @@ class NystromLayer:
     landmarks : (d, p) array, one landmark per column
     sigma : kernel bandwidth
     epsilon : diagonal shift of the landmark Gram matrix
-    newton_iters : iteration count of the inverse square root
     """
 
     landmarks: np.ndarray
     sigma: float
     epsilon: float = 1e-3
-    newton_iters: int = 20
 
     def __post_init__(self):
         self.landmarks = np.asarray(self.landmarks, dtype=np.float64)
@@ -140,7 +138,6 @@ class NystromLayer:
             raise ValueError("landmarks must be a non-empty d x p array")
         self.sigma = finite_number("sigma", self.sigma, 0, strict=True)
         self.epsilon = finite_number("epsilon", self.epsilon, 0)
-        self.newton_iters = whole_number("newton_iters", self.newton_iters, 1)
 
     @property
     def dim(self):
@@ -151,12 +148,7 @@ class NystromLayer:
         return self.landmarks.shape[1]
 
     def with_landmarks(self, V):
-        return NystromLayer(
-            landmarks=V,
-            sigma=self.sigma,
-            epsilon=self.epsilon,
-            newton_iters=self.newton_iters,
-        )
+        return NystromLayer(landmarks=V, sigma=self.sigma, epsilon=self.epsilon)
 
 
 def init_landmarks(X, num_landmarks, seed=0):
@@ -225,7 +217,7 @@ def forward(layer, X, normalize=True):
     Vr = layer.landmarks.T
     Kx = rbf_kernel(X, Vr, layer.sigma)
     Kvv = rbf_kernel(Vr, Vr, layer.sigma)
-    S, ns_cache = newton_inv_sqrt_cached(Kvv, layer.epsilon, layer.newton_iters)
+    S, ns_cache = inv_sqrt(Kvv, layer.epsilon)
     phi_raw = Kx @ S
     if normalize:
         phi_cent = phi_raw - phi_raw.mean(axis=0)
@@ -257,7 +249,7 @@ def backward(batch, d_phi):
     """Cotangent of the landmarks for a given cotangent of the features.
 
     Runs the exact reverse-mode sweep through normalization, centering, the
-    unrolled Newton iteration, and both kernel blocks.  Returns a d x p
+    inverse square root, and both kernel blocks.  Returns a d x p
     array matching ``layer.landmarks``.
     """
     d_phi = np.asarray(d_phi, dtype=np.float64)
@@ -279,7 +271,7 @@ def backward(batch, d_phi):
         d_raw = d_phi
     dKx = d_raw @ S.T
     dS = Kx.T @ d_raw
-    dKvv = newton_inv_sqrt_vjp(ns_cache, dS)
+    dKvv = inv_sqrt_vjp(ns_cache, dS)
     Vr = layer.landmarks.T
     inv_sq = 1.0 / (layer.sigma * layer.sigma)
     E1 = dKx * Kx

@@ -122,63 +122,41 @@ def ridge_kernel(phi, lam):
     return A
 
 
-def newton_inv_sqrt_cached(K, epsilon, iters):
-    """Inverse square root of K + epsilon I by coupled Newton iterations,
-    with the per-iteration states.
+def inv_sqrt(K, epsilon):
+    """Inverse square root of K + epsilon I from one symmetric eigendecomposition.
 
-    The input is shifted, symmetrized, and scaled by its trace so the
-    iteration contracts; the fixed iteration count makes the map a fixed
-    composition of matrix products, which is what the feature-map backward
-    pass differentiates through.  K is a (p, p) symmetric positive
-    semidefinite array, epsilon a finite shift >= 0 and iters >= 1, as
-    NystromLayer stores them; nothing here checks them again.
+    K is a (p, p) symmetric positive semidefinite array and epsilon a finite
+    shift >= 0, as NystromLayer stores them.  K is symmetrized, so the
+    result depends on the symmetric part of K alone.  With T = sym(K) +
+    epsilon I = U diag(w) U^T, S = U diag(w^(-1/2)) U^T.  Raises ValueError
+    naming the smallest eigenvalue of T when it is not positive, or not
+    above p eps w_max, the roundoff of eigh: a singular T, such as the Gram
+    matrix of two equal landmarks with epsilon 0, comes out of eigh with a
+    smallest eigenvalue of either sign below that.
 
-    Returns (S, cache): S (K + epsilon I) S is close to the identity, and the
-    cache is consumed by ``newton_inv_sqrt_vjp`` to run the exact
-    reverse-mode sweep of the unrolled iteration.
+    Returns (S, cache); ``inv_sqrt_vjp`` consumes the cache.
     """
     K = np.asarray(K, dtype=np.float64)
-    p = K.shape[0]
-    T = 0.5 * (K + K.T) + epsilon * np.eye(p)
-    nu = float(np.trace(T))
-    if nu <= 0:
-        raise ValueError(f"trace of shifted matrix must be positive, got {nu}")
-    Y = T / nu
-    Z = np.eye(p)
-    Ys, Zs, Ws = [], [], []
-    for _ in range(iters):
-        W = 0.5 * (Z @ Y)
-        Ys.append(Y)
-        Zs.append(Z)
-        Ws.append(W)
-        Y = 1.5 * Y - Y @ W
-        Z = 1.5 * Z - W @ Z
-    S = Z / np.sqrt(nu)
-    cache = (T, nu, Ys, Zs, Ws, Z)
-    return S, cache
+    T = 0.5 * (K + K.T) + epsilon * np.eye(K.shape[0])
+    w, U = np.linalg.eigh(T)
+    if not w[0] > K.shape[0] * np.finfo(np.float64).eps * w[-1]:
+        raise ValueError(
+            f"K + epsilon I must be positive definite, smallest eigenvalue "
+            f"{w[0]:.3e} (largest {w[-1]:.3e})"
+        )
+    root = np.sqrt(w)
+    return (U / root) @ U.T, (U, root)
 
 
-def newton_inv_sqrt_vjp(cache, dS):
-    """Reverse-mode sweep of the unrolled coupled Newton iteration.
+def inv_sqrt_vjp(cache, dS):
+    """Cotangent of K for the cotangent dS of S = inv_sqrt(K, epsilon)[0].
 
-    Given the cotangent dS of the output, returns the cotangent of the input
-    matrix K (the epsilon shift and the trace normalization are part of the
-    differentiated graph).
+    Daleckii-Krein: dT = U (F o (U^T dS U)) U^T with F_ij = -1 / (r_i r_j
+    (r_i + r_j)), r = w^(1/2), the divided difference of x^(-1/2).  F has no
+    eigenvalue gap in a denominator, so repeated eigenvalues are safe.  The
+    result is symmetrized, as K enters through its symmetric part.
     """
-    T, nu, Ys, Zs, Ws, Z_final = cache
-    dS = np.asarray(dS, dtype=np.float64)
-    sqrt_nu = np.sqrt(nu)
-    dZ = dS / sqrt_nu
-    dnu = -0.5 * float(np.sum(dS * Z_final)) / (nu * sqrt_nu)
-    dY = np.zeros_like(dZ)
-    for Y0, Z0, W in zip(reversed(Ys), reversed(Zs), reversed(Ws)):
-        dY0 = 1.5 * dY - dY @ W.T
-        dW = -(Y0.T @ dY) - dZ @ Z0.T
-        dZ0 = 1.5 * dZ - W.T @ dZ
-        dZ0 += 0.5 * dW @ Y0.T
-        dY0 += 0.5 * Z0.T @ dW
-        dY, dZ = dY0, dZ0
-    dT = dY / nu
-    dnu += -float(np.sum(dY * T)) / (nu * nu)
-    dT = dT + dnu * np.eye(T.shape[0])
+    U, root = cache
+    F = -1.0 / (np.multiply.outer(root, root) * np.add.outer(root, root))
+    dT = U @ (F * (U.T @ np.asarray(dS, dtype=np.float64) @ U)) @ U.T
     return 0.5 * (dT + dT.T)

@@ -45,7 +45,7 @@ _NO_CONSTRAINTS = np.empty((0, 3), dtype=np.int64)
 # the integer settings and their minimums; TrainConfig stores each as a Python int
 _INTEGER_MINIMUMS = dict(
     num_landmarks=1, batch_size=2, supervised_init_iters=0, main_iters=0, eval_every=1,
-    balance_iters=1, seed=0, eval_batch_size=2, newton_iters=1,
+    balance_iters=1, seed=0, eval_batch_size=2,
 )
 # the float settings and their bounds (minimum, above it only, maximum);
 # TrainConfig stores each as a finite Python float, or None where None is
@@ -85,7 +85,6 @@ class TrainConfig:
     eval_batch_size: int = 200
     sigma: float = None
     epsilon: float = 1e-3
-    newton_iters: int = 20
 
     def __post_init__(self):
         for name, minimum in _INTEGER_MINIMUMS.items():
@@ -256,7 +255,6 @@ def _build_layer(X_train, config):
         landmarks=base.landmarks,
         sigma=base.sigma if config.sigma is None else config.sigma,
         epsilon=config.epsilon,
-        newton_iters=config.newton_iters,
     )
 
 
@@ -424,15 +422,19 @@ def _batch_known(batch_labels, pairs, values):
     """Pinned entries of one batch as an (m, 3) array of (i, j, value) rows.
 
     Pins the diagonal, every pair of labeled rows to its label agreement and
-    each constraint pair inside the batch, once: pairs holds their batch
-    positions (c, 2) and values their 0/1 values, as _batch_pairs gives
-    them.  BalancingProblem pins each entry's mirror.
+    each constraint pair inside the batch, once: a labeled pair in one
+    orientation, a constraint pair as pairs holds its batch positions (c, 2)
+    and values its 0/1 value, as _batch_pairs gives them.  BalancingProblem
+    pins each entry's mirror.
     """
     labeled = np.flatnonzero(batch_labels >= 0)
     diagonal = np.arange(batch_labels.size)
-    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pairs[:, 0]])
-    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pairs[:, 1]])
-    agree = _agreement(batch_labels[labeled]).ravel()
+    block_i, block_j = np.repeat(labeled, labeled.size), np.tile(labeled, labeled.size)
+    upper = block_i < block_j  # labeled ascends: each labeled pair once
+    upper_i, upper_j = block_i[upper], block_j[upper]
+    i = np.concatenate([diagonal, upper_i, pairs[:, 0]])
+    j = np.concatenate([diagonal, upper_j, pairs[:, 1]])
+    agree = batch_labels[upper_i] == batch_labels[upper_j]
     m = np.concatenate([np.ones(diagonal.size), agree, values])
     return np.column_stack([i, j, m])
 
@@ -453,7 +455,6 @@ def _checkpoint_doc(layer, classifier, config):
         "p": layer.num_landmarks,
         "sigma": layer.sigma,
         "epsilon": layer.epsilon,
-        "newton_iters": layer.newton_iters,
         "V": [float(x) for x in layer.landmarks.ravel(order="C")],
         "W": None,
         "b": None,
@@ -475,7 +476,11 @@ def checkpoint_json(layer, classifier, config):
 
 
 def load_checkpoint(text):
-    """Inverse of checkpoint_json: (layer, classifier or None, config)."""
+    """Inverse of checkpoint_json: (layer, classifier or None, config).
+
+    A version 1 document from before the closed-form whitening also carries
+    newton_iters, at the top level and in its config; both are ignored.
+    """
     doc = json.loads(text)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(
@@ -485,9 +490,10 @@ def load_checkpoint(text):
         landmarks=np.array(doc["V"], dtype=np.float64).reshape(doc["d"], doc["p"]),
         sigma=doc["sigma"],
         epsilon=doc["epsilon"],
-        newton_iters=doc["newton_iters"],
     )
-    config = TrainConfig.from_dict(doc["config"])
+    config_doc = dict(doc["config"])
+    config_doc.pop("newton_iters", None)
+    config = TrainConfig.from_dict(config_doc)
     classifier = None
     if doc["W"] is not None:
         classifier = RidgeSolution(

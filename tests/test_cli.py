@@ -122,6 +122,17 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(config)]) == 2
         capsys.readouterr()
 
+    def test_newton_iters_rejected(self, tmp_path, capsys):
+        # the setting left with the Newton whitening; it is now an unknown key
+        config = tmp_path / "config.json"
+        doc = _write_config(config, tmp_path / "out")
+        doc["train"]["newton_iters"] = 20
+        config.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        events = _events(capsys.readouterr().err)
+        assert events[-1]["event"] == "error"
+        assert "newton_iters" in events[-1]["message"]
+
     def test_wrong_format_version_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         _write_config(config, tmp_path / "out", format_version=99)

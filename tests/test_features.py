@@ -177,13 +177,10 @@ def small_layer(seed=0, d=3, p=4, sigma=1.2):
 
 class TestNystromLayer:
     def test_stores_python_numbers(self):
-        layer = NystromLayer(
-            np.ones((2, 3)), sigma=np.float64(1.5), epsilon=0, newton_iters=np.int64(7)
-        )
+        layer = NystromLayer(np.ones((2, 3)), sigma=np.float64(1.5), epsilon=0)
         assert (type(layer.sigma), layer.sigma) == (float, 1.5)
         assert (type(layer.epsilon), layer.epsilon) == (float, 0.0)
-        assert (type(layer.newton_iters), layer.newton_iters) == (int, 7)
-        assert layer.with_landmarks(np.zeros((2, 3))).newton_iters == 7
+        assert layer.with_landmarks(np.zeros((2, 3))).epsilon == 0.0
 
     @pytest.mark.parametrize("name, value", [
         ("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
@@ -194,12 +191,6 @@ class TestNystromLayer:
         # epsilon = nan or inf used to pass and give NaN features
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             NystromLayer(np.ones((2, 3)), **{"sigma": 1.0, name: value})
-
-    @pytest.mark.parametrize("value", [0, 2.5, np.nan, np.inf, "20"])
-    def test_invalid_newton_iters_rejected(self, value):
-        # 2.5 used to be stored and run as 2 iterations
-        with pytest.raises(ValueError, match="^newton_iters must be a whole number"):
-            NystromLayer(np.ones((2, 3)), sigma=1.0, newton_iters=value)
 
 
 class TestForward:
@@ -239,6 +230,17 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward(small_layer(d=3), np.ones((4, 2)))
+
+    def test_equal_landmarks_without_shift_rejected(self):
+        # the landmark Gram matrix is singular; the Newton iteration used to
+        # scale its null direction by 1.5 per step and return finite features
+        layer = small_layer()
+        V = layer.landmarks.copy()
+        V[:, 1] = V[:, 0]
+        X = np.random.default_rng(8).normal(size=(6, 3))
+        with pytest.raises(ValueError, match="smallest eigenvalue"):
+            forward(NystromLayer(V, sigma=layer.sigma, epsilon=0.0), X)
+        assert np.all(np.isfinite(forward(NystromLayer(V, sigma=layer.sigma), X).phi))
 
 
 def fd_landmark_gradient(layer, X, C, normalize, h=1e-5):

@@ -112,6 +112,29 @@ def test_batch_pins_match_triple_lists(label_share):
         assert pairs == old_pairs
 
 
+def previous_batch_known(batch_labels, pairs, values):
+    """_batch_known before it passed the labeled block in one orientation."""
+    labeled = np.flatnonzero(batch_labels >= 0)
+    diagonal = np.arange(batch_labels.size)
+    i = np.concatenate([diagonal, np.repeat(labeled, labeled.size), pairs[:, 0]])
+    j = np.concatenate([diagonal, np.tile(labeled, labeled.size), pairs[:, 1]])
+    agree = (batch_labels[labeled][:, None] == batch_labels[labeled][None, :]).ravel()
+    m = np.concatenate([np.ones(diagonal.size), agree, values])
+    return np.column_stack([i, j, m])
+
+
+@pytest.mark.parametrize("workload", ["semi-n20k-b512", "pairs-n300-b128"])
+def test_seed0_batch_pins_match_both_orientations(seed0_runs, workload):
+    known = seed0_runs[workload]["known"]
+    assert any(np.count_nonzero(labels >= 0) > 1 for labels, _, _ in known)
+    for batch_labels, pairs, values in known:
+        n = batch_labels.size
+        got = _pin_list(_batch_known(batch_labels, pairs, values), n)
+        expected = _pin_list(previous_batch_known(batch_labels, pairs, values), n)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def previous_batch_pairs(rows, constraints, n):
     """_batch_pairs before it gathered each constraint column on its own."""
     position = np.full(n, -1)

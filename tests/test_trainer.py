@@ -8,7 +8,7 @@ import xsdc.trainer
 import xsdc.ulr
 from xsdc.data import make_blobs
 from xsdc.errors import AbortedRun, TrainingDiverged
-from xsdc.features import forward
+from xsdc.features import NystromLayer, forward
 from xsdc.labeling import predict_classes
 from xsdc.linalg import ridge_kernel
 from xsdc.trainer import (
@@ -342,6 +342,37 @@ def test_checkpoint_rejects_other_versions():
         load_checkpoint(json.dumps(doc))
 
 
+# written by checkpoint_json before the landmark whitening took its closed
+# form, from a run with newton_iters = 7
+_NEWTON_CHECKPOINT = (
+    '{"format_version": 1, "d": 2, "p": 3, "sigma": 4.385998128684125, '
+    '"epsilon": 0.001, "newton_iters": 7, "V": [2.353677489632117, '
+    '5.036594482594072, 6.065430378830294, -1.3324772718179094, '
+    '-6.502393855407343, -7.343142637968463], "W": [[-0.20013956782825784, '
+    '0.20013956782825784], [0.44148378389352433, -0.44148378389352433], '
+    '[0.22690272194284256, -0.22690272194284256]], "b": [0.4971377954397632, '
+    '0.5028622045602368], "config": {"num_landmarks": 3, "batch_size": 8, '
+    '"supervised_init_iters": 2, "main_iters": 2, "eval_every": 1, '
+    '"labeled_batch_fraction": null, "init_learning_rate": null, '
+    '"balance_iters": 10, "mu": null, "n_min_frac": null, "n_max_frac": null, '
+    '"seed": 0, "eval_batch_size": 200, "sigma": null, "epsilon": 0.001, '
+    '"newton_iters": 7, "lam": 0.01, "alpha": 0.0625, "rho": 0.0625, '
+    '"learning_rate": 0.05, "constraints": []}}'
+)
+
+
+def test_checkpoint_with_newton_iters_loads():
+    layer, classifier, config = load_checkpoint(_NEWTON_CHECKPOINT)
+    doc = json.loads(_NEWTON_CHECKPOINT)
+    del doc["newton_iters"], doc["config"]["newton_iters"]
+    assert json.loads(checkpoint_json(layer, classifier, config)) == doc
+    X = np.random.default_rng(0).normal(size=(10, 2))
+    fresh = NystromLayer(np.array(doc["V"]).reshape(2, 3), sigma=doc["sigma"])
+    assert forward(layer, X).phi.tobytes() == forward(fresh, X).phi.tobytes()
+    with pytest.raises(ValueError, match="newton_iters"):
+        TrainConfig.from_dict(json.loads(_NEWTON_CHECKPOINT)["config"])
+
+
 def test_config_dict_round_trip_and_strictness():
     cfg = _small_config(constraints=[(1, 2, 1.0)])
     doc = cfg.to_dict()
@@ -363,6 +394,19 @@ def test_huge_learning_rate_diverges():
     with pytest.raises(TrainingDiverged) as err:
         train(ds, cfg, mode="semi")
     assert err.value.iteration is not None
+
+
+def test_equal_landmarks_without_shift_diverge():
+    # every train row is a landmark and two rows are equal: with epsilon = 0
+    # the landmark Gram matrix is singular and whitening raises
+    ds = _blobs(n=30)
+    train_rows = ds.split_indices("train")
+    ds.X[train_rows[1]] = ds.X[train_rows[0]]
+    cfg = _small_config(num_landmarks=30, epsilon=0.0)
+    with pytest.raises(TrainingDiverged, match="smallest eigenvalue") as err:
+        train(ds, cfg, mode="semi")
+    assert err.value.iteration == 0
+    train(ds, _small_config(num_landmarks=30, main_iters=2), mode="semi")
 
 
 def test_init_objective_above_ceiling_diverges(monkeypatch):
@@ -492,11 +536,11 @@ def test_malformed_constraint_entries_rejected(entries, message):
 @pytest.mark.parametrize("name, minimum", [
     ("num_landmarks", 1), ("batch_size", 2), ("supervised_init_iters", 0),
     ("main_iters", 0), ("eval_every", 1), ("balance_iters", 1), ("seed", 0),
-    ("eval_batch_size", 2), ("newton_iters", 1),
+    ("eval_batch_size", 2),
 ])
 def test_integer_settings_are_whole_and_bounded(name, minimum):
-    # fractions used to be truncated at use; seed, num_landmarks, balance_iters
-    # and newton_iters below their minimums used to pass unchecked
+    # fractions used to be truncated at use; seed, num_landmarks and
+    # balance_iters below their minimums used to pass unchecked
     for bad in (minimum - 1, minimum + 0.5, float("nan"), float("inf"), "3", None,
                 True, np.True_):
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
