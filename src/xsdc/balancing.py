@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .data import finite_number, whole_number
 from .errors import BalancingDivergence
+from .linalg import out_buffer
 
 # balance_doubling re-raises the divergence after this many doublings of mu
 MAX_MU_DOUBLINGS = 20
@@ -48,7 +49,7 @@ _STOP_TOL = 1e-9
 _OMEGA = 0.75
 
 
-def default_mu(A):
+def default_mu(A, out=None):
     """Median absolute entry of A, the default entropy weight.
 
     Bitwise np.median(np.abs(A)), taken by one in-place selection: after a
@@ -56,12 +57,14 @@ def default_mu(A):
     lower one is the maximum of the entries before it.  A NaN entry gives
     NaN, as np.median does.  Falls back to 1.0 with a warning when the
     median is zero (all-zero or mostly-zero A), since the weight must be
-    positive.
+    positive.  out, when given, holds |A| for the selection and is left
+    permuted: a C-contiguous float64 array of A's shape not sharing memory
+    with A (see linalg.out_buffer).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.size == 0:
         raise ValueError("A is empty")
-    x = np.abs(A).ravel(order="K")
+    x = np.abs(A, out=out_buffer(out, A.shape, A)).reshape(-1)
     h = x.size // 2
     x.partition(h)
     if np.isnan(x.max()):
@@ -227,7 +230,7 @@ def _marginal_violation(M, n_min, n_max):
     return dev
 
 
-def balance(problem, mu=None):
+def balance(problem, mu=None, out=None):
     """Run the symmetric balancing rounds.
 
     The kernel is the free kernel N_free, exp(-Q_tilde) with the pinned
@@ -248,6 +251,8 @@ def balance(problem, mu=None):
     the dual of the symmetric problem.  The returned M, formed in the buffer
     of N_free, is u_i N_free_ij u_j off the pins and the pin values on them,
     each entry below the diagonal a copy of its mirror, so M == M^T bitwise.
+    That buffer is out when given, so the returned M is out, and a later
+    call into the same out overwrites it.
 
     The rounds stop at a fixed point of the undamped step: at the start of
     each round after the first, once every row sum u * row of M is within
@@ -261,6 +266,9 @@ def balance(problem, mu=None):
     problem : BalancingProblem
     mu : optional override of the entropy weight, finite and positive (used
         by the doubling retry loop)
+    out : optional C-contiguous float64 (n, n) array not sharing memory with
+        problem.A, which becomes M (see linalg.out_buffer); a new array when
+        None.  default_mu takes its scratch from it before N_free fills it.
 
     Returns
     -------
@@ -273,8 +281,9 @@ def balance(problem, mu=None):
     consecutive rounds.
     """
     n = problem.size
+    N_free = out_buffer(out, (n, n), problem.A)
     if mu is None:
-        mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+        mu = problem.mu if problem.mu is not None else default_mu(problem.A, out=N_free)
     mu = finite_number("mu", mu, 0, strict=True)
     n_sigma, n_delta = problem.n_sigma, problem.n_delta
     box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta
@@ -287,7 +296,7 @@ def balance(problem, mu=None):
     with np.errstate(over="ignore", under="ignore"):
         # N_free = exp(-Q_tilde) = exp(A / -mu + log prior), in one C-ordered
         # buffer, so that reshape(-1) below is a view whatever A's layout
-        N_free = np.divide(problem.A, -mu, order="C")
+        np.divide(problem.A, -mu, out=N_free)
         N_free += np.log(problem.prior())
         np.exp(N_free, out=N_free)
     # entries are >= 0 or NaN, and max propagates NaN
@@ -379,18 +388,19 @@ def balance(problem, mu=None):
     )
 
 
-def balance_doubling(problem):
+def balance_doubling(problem, out=None):
     """Balance with the entropy weight doubled on each divergence.
 
     Returns the first successful EquivalenceMatrix (its mu field records the
     weight actually used).  After MAX_MU_DOUBLINGS doublings the last
-    divergence is re-raised.
+    divergence is re-raised.  out is as for balance: every attempt, and
+    default_mu before them, works in it, and the returned M is out.
     """
-    mu = problem.mu if problem.mu is not None else default_mu(problem.A)
+    mu = problem.mu if problem.mu is not None else default_mu(problem.A, out=out)
     attempt = 0
     while True:
         try:
-            return balance(problem, mu=mu)
+            return balance(problem, mu=mu, out=out)
         except BalancingDivergence:
             attempt += 1
             if attempt > MAX_MU_DOUBLINGS:

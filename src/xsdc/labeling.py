@@ -105,7 +105,11 @@ def _kmeans(X, k, seed):
 
     Only the k-means++ style seeding draws from the generator, so every
     restart is seeded first; the restarts still running then share one
-    distance call per iteration, each iterating as it would alone.
+    distance call and one center update per iteration, each iterating as
+    it would alone.  The update sums each cluster's rows in index order
+    with np.bincount over (restart, cluster) bins, as np.add.reduce sums
+    them one restart at a time.  A restart with an empty cluster updates
+    cluster by cluster instead, re-seeding each empty one in turn.
     """
     n, d = X.shape
     rng = np.random.default_rng(seed)
@@ -118,15 +122,23 @@ def _kmeans(X, k, seed):
             seeds[c] = X[idx]
             d2 = np.minimum(d2, np.sum((X - seeds[c]) ** 2, axis=1))
     labels = np.zeros((KMEANS_RESTARTS, n), dtype=np.int64)
-    running = list(range(KMEANS_RESTARTS))
+    running = np.arange(KMEANS_RESTARTS)
     for _ in range(KMEANS_ITERS):
-        if not running:
+        if not running.size:
             break
-        dist = sqeuclidean(X, centers[running].reshape(-1, d)).reshape(n, -1, k)
+        m = running.size
+        dist = sqeuclidean(X, centers[running].reshape(-1, d)).reshape(n, m, k)
         nearest = np.ascontiguousarray(np.argmin(dist, axis=2).T)
-        still = []
-        for col, r in enumerate(running):
-            new_labels = nearest[col]
+        bins = (nearest + k * np.arange(m)[:, None]).reshape(-1)
+        counts = np.bincount(bins, minlength=m * k).reshape(m, k)
+        sums = np.stack(
+            [np.bincount(bins, weights=column, minlength=m * k) for column in np.tile(X.T, m)],
+            axis=1,
+        ).reshape(m, k, d)
+        full = counts.min(axis=1) > 0
+        centers[running[full]] = sums[full] / counts[full][:, :, None]
+        for col in np.flatnonzero(~full):
+            r, new_labels = running[col], nearest[col]
             for c in range(k):
                 rows = X[new_labels == c]
                 if rows.size:
@@ -137,10 +149,9 @@ def _kmeans(X, k, seed):
                     worst = int(np.argmax(np.min(dist[:, col], axis=1)))
                     centers[r, c] = X[worst]
                     new_labels[worst] = c
-            if not np.array_equal(new_labels, labels[r]):
-                still.append(r)
-            labels[r] = new_labels
-        running = still
+        changed = np.any(nearest != labels[running], axis=1)
+        labels[running] = nearest
+        running = running[changed]
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         inertia = float(np.sum((X - centers[r][labels[r]]) ** 2))

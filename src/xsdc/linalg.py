@@ -50,6 +50,25 @@ class RidgeSolution:
         return phi @ self.weights + self.intercept
 
 
+def out_buffer(out, shape, source):
+    """The array a result of the given shape is written into.
+
+    None gives a new C-ordered float64 array.  Otherwise out must be a
+    C-contiguous float64 array of that shape sharing no memory with source,
+    the array the result is computed from, else ValueError; out is returned.
+    """
+    if out is None:
+        return np.empty(shape)
+    if not (
+        isinstance(out, np.ndarray) and out.dtype == np.float64
+        and out.shape == tuple(shape) and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
+    if np.shares_memory(out, source):
+        raise ValueError("out must not share memory with the input it is computed from")
+    return out
+
+
 def _ridge_factor(phi, lam):
     """phi_c and R = L^{-T}, L L^T = G = phi_c^T phi_c + n lam I, so R R^T = G^{-1}.
     numpy's LAPACK: scipy's links a second OpenBLAS whose threads contend with
@@ -93,7 +112,7 @@ def ridge_solve(phi, Y, lam):
     return RidgeSolution(weights=W, intercept=b, objective_value=objective, lam=lam)
 
 
-def ridge_kernel(phi, lam):
+def ridge_kernel(phi, lam, out=None):
     """Kernel-like coupling matrix of the bias-eliminated ridge problem.
 
     Returns A = P (P phi phi^T P + n lam I)^{-1} P where P is the
@@ -106,6 +125,9 @@ def ridge_kernel(phi, lam):
     (n, D) features, not an O(n^3) solve, in the one (n, n) buffer of W W^T,
     which numpy computes exactly symmetric.  A is positive semidefinite with
     spectral norm at most 1 / (n lam).
+
+    out, when given, is that buffer: a C-contiguous float64 (n, n) array
+    not sharing memory with phi (see out_buffer), and A is out.
     """
     phi = _as_matrix(phi, "phi")
     lam = finite_number("lam", lam, 0, strict=True)
@@ -114,7 +136,7 @@ def ridge_kernel(phi, lam):
         raise ValueError(f"need at least 2 rows to center, got {n}")
     phi_c, R = _ridge_factor(phi, lam)
     W = phi_c @ R
-    A = W @ W.T
+    A = np.matmul(W, W.T, out=out_buffer(out, (n, n), phi))
     A *= -1.0
     A[np.diag_indices(n)] += 1.0
     A -= 1.0 / n

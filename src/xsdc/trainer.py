@@ -12,6 +12,14 @@ labeled pairs in one array that BalancingProblem validates into a sorted
 pin list.  Fully labeled batches skip balancing: their agreement matrix is
 determined by the labels, so a step on them is plain supervised training.
 
+The main loop's batches all have one size b, so train allocates two b x b
+float64 buffers once and every main-loop step reuses them: ridge_kernel
+writes A into the first, and balancing takes its |A| scratch for the
+default mu and then N_free, which becomes M, from the second.  Allocating
+and freeing these each step let glibc trim the heap after a step and fault
+it back in on the next.  The supervised initialization and evaluation
+allocate their own.
+
 Three modes share the machinery.  "semi" mixes labeled and unlabeled rows
 per batch, "supervised" draws labeled rows only, "unsupervised" treats every
 train row as unlabeled and labels the result by spectral clustering.
@@ -236,8 +244,8 @@ def _agreement(labels):
     return (labels[:, None] == labels[None, :]).astype(np.float64)
 
 
-def _balance(A, known, config, k):
-    """Balance one batch's agreement matrix against its ridge kernel A."""
+def _balance(A, known, config, k, out=None):
+    """Balance one batch's agreement matrix against its ridge kernel A, into out."""
     b = A.shape[0]
     lo = 1.0 / k if config.n_min_frac is None else config.n_min_frac
     hi = 1.0 / k if config.n_max_frac is None else config.n_max_frac
@@ -245,7 +253,7 @@ def _balance(A, known, config, k):
         A, known, lo * b, hi * b, mu=config.mu, iters=config.balance_iters,
         num_clusters=k,
     )
-    return balance_doubling(problem)
+    return balance_doubling(problem, out=out)
 
 
 def _build_layer(X_train, config):
@@ -299,11 +307,14 @@ def supervised_init(state, dataset, config, metrics=None):
     return state
 
 
-def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, split):
+def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, split,
+          buffers=(None, None)):
     """One landmark step on a batch: advance state and record the step.
 
     A fully labeled batch takes M = Y Y^T and leaves the features and the
     kernel to ulr_step; any other batch balances M against its kernel A.
+    buffers holds two (b, b) float64 arrays for A and M, or None for either
+    to allocate it; both are consumed within the step.
     Raises TrainingDiverged on numeric collapse or an objective beyond
     OBJECTIVE_CEILING, AbortedRun when balancing fails past the mu ladder.
     """
@@ -317,10 +328,10 @@ def _step(state, dataset, rows, batch_labels, constraints, step_cfg, metrics, sp
             M = _agreement(batch_labels)
         else:
             feats = forward(state.layer, X)
-            A = ridge_kernel(feats.phi, step_cfg.lam)
+            A = ridge_kernel(feats.phi, step_cfg.lam, out=buffers[0])
             known = _batch_known(batch_labels, pairs, values)
             try:
-                balanced = _balance(A, known, state.config, dataset.k)
+                balanced = _balance(A, known, state.config, dataset.k, out=buffers[1])
             except BalancingDivergence as err:
                 raise AbortedRun(
                     f"balancing diverged at iteration {state.iteration}: {err}",
@@ -585,13 +596,18 @@ def train(dataset, config, mode="semi", listener=None):
         raise ValueError("batch composition leaves fewer than 2 rows")
 
     _maybe_evaluate(state, dataset, metrics)
+    # every main-loop step reuses A's and M's buffers (see the module docstring)
+    b = lab_m + unlab_m
+    buffers = (np.empty((b, b)), np.empty((b, b)))
     for _ in range(config.main_iters):
         rows = np.concatenate([lab_sampler.draw(lab_m), unlab_sampler.draw(unlab_m)])
         # unsupervised: every row counts as unlabeled, visible label or not
         batch_labels = np.full(rows.size, -1) if mode == "unsupervised" else dataset.labels[rows]
-        _step(state, dataset, rows, batch_labels, constraints, config.ulr, metrics, "batch")
+        _step(state, dataset, rows, batch_labels, constraints, config.ulr, metrics, "batch",
+              buffers)
         if state.iteration % config.eval_every == 0:
             _maybe_evaluate(state, dataset, metrics)
+    del buffers
     if config.main_iters and state.iteration % config.eval_every:
         _maybe_evaluate(state, dataset, metrics)
 

@@ -22,6 +22,7 @@ from xsdc.balancing import (
     EquivalenceMatrix,
     _marginal_violation,
     balance,
+    balance_doubling,
     default_mu,
 )
 from xsdc.data import finite_number
@@ -225,6 +226,58 @@ def test_fuzz_bitwise_equal_to_previous_rounds(seed):
         seen["zero pins"] += bool(np.any(problem.pins[2] == 0.0))
     # no draw reaches the two dual raises, which no known problem does
     assert min(seen.values()) >= 3, seen
+
+
+def test_out_is_bitwise_the_allocating_call():
+    """balance and balance_doubling write M into a given out with the bits
+    of the call without one, and return out as M.  One buffer per size
+    serves every draw, dirty from the draw before, also one that raised;
+    the mu ladder retries in it."""
+    rng = np.random.default_rng(8)
+    buffers = {}
+    seen = dict.fromkeys(["raised", "doubled", "default mu"], 0)
+    for _ in range(200):
+        problem = (_underflow_problem if rng.random() < 0.3 else _random_problem)(rng)
+        out = buffers.setdefault(problem.size, np.full((problem.size,) * 2, np.nan))
+        result, error = assert_same_outcome(
+            _outcome(lambda p, mu: balance(p, mu=mu, out=out), problem, None),
+            _outcome(balance, problem, None),
+        )
+        assert error is not None or result.M is out
+        seen["raised"] += error is not None
+        result, error = assert_same_outcome(
+            _outcome(lambda p, mu: balance_doubling(p, out=out), problem, None),
+            _outcome(lambda p, mu: balance_doubling(p), problem, None),
+        )
+        if error is None:
+            assert result.M is out
+            first = problem.mu if problem.mu is not None else default_mu(problem.A)
+            seen["doubled"] += result.mu > first
+        seen["default mu"] += problem.mu is None
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("bad", ["shape", "dtype", "not C-contiguous", "list", "shares A"])
+@pytest.mark.parametrize("call", ["balance", "balance_doubling", "default_mu"])
+def test_rejected_out_raises(call, bad):
+    n = 6
+    problem = BalancingProblem(-np.eye(n), [(i, i, 1) for i in range(n)], 2.0, 3.0)
+    out = {
+        "shape": np.empty((n, n + 1)),
+        "dtype": np.empty((n, n), dtype=np.float32),
+        "not C-contiguous": np.empty((n, n), order="F"),
+        "list": np.zeros((n, n)).tolist(),
+        "shares A": problem.A,
+    }[bad]
+    fn = {
+        "balance": lambda: balance(problem, out=out),
+        "balance_doubling": lambda: balance_doubling(problem, out=out),
+        "default_mu": lambda: default_mu(problem.A, out=out),
+    }[call]
+    before = problem.A.copy()
+    with pytest.raises(ValueError, match="^out must"):
+        fn()
+    assert _bits(problem.A) == _bits(before)
 
 
 def test_one_sided_known_matches_closed():

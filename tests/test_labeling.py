@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+import xsdc.features
 import xsdc.labeling
 from xsdc.labeling import (
     KMEANS_ITERS,
@@ -17,6 +19,7 @@ from xsdc.labeling import (
     predict_classes,
     spectral_cluster,
 )
+from xsdc.features import sqeuclidean
 from xsdc.linalg import ridge_solve
 
 
@@ -272,6 +275,100 @@ def test_kmeans_matches_cdist_oracle():
             X = np.round(X, 1)
         seed = int(rng.integers(100))
         assert np.array_equal(xsdc.labeling._kmeans(X, k, seed), _kmeans_oracle(X, k, seed))
+
+
+def _previous_kmeans(X, k, seed):
+    """The k-means before its center update covered every running restart at
+    once: the restarts share the distance call, then each updates its
+    centers cluster by cluster with np.add.reduce."""
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((KMEANS_RESTARTS, k, d))
+    for seeds in centers:
+        d2 = np.full(n, np.inf)
+        for c in range(k):
+            total = d2.sum() if c else 0.0
+            idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+            seeds[c] = X[idx]
+            d2 = np.minimum(d2, np.sum((X - seeds[c]) ** 2, axis=1))
+    labels = np.zeros((KMEANS_RESTARTS, n), dtype=np.int64)
+    running = list(range(KMEANS_RESTARTS))
+    for _ in range(KMEANS_ITERS):
+        if not running:
+            break
+        dist = sqeuclidean(X, centers[running].reshape(-1, d)).reshape(n, -1, k)
+        nearest = np.ascontiguousarray(np.argmin(dist, axis=2).T)
+        still = []
+        for col, r in enumerate(running):
+            new_labels = nearest[col]
+            for c in range(k):
+                rows = X[new_labels == c]
+                if rows.size:
+                    # rows.mean(axis=0) as numpy forms it, without its overhead
+                    centers[r, c] = np.add.reduce(rows, axis=0) / len(rows)
+                else:
+                    # re-seed an empty cluster at the worst-fit point
+                    worst = int(np.argmax(np.min(dist[:, col], axis=1)))
+                    centers[r, c] = X[worst]
+                    new_labels[worst] = c
+            if not np.array_equal(new_labels, labels[r]):
+                still.append(r)
+            labels[r] = new_labels
+        running = still
+    best_labels, best_inertia = None, np.inf
+    for r in range(KMEANS_RESTARTS):
+        inertia = float(np.sum((X - centers[r][labels[r]]) ** 2))
+        if inertia < best_inertia - 1e-12:
+            best_labels, best_inertia = labels[r], inertia
+    return best_labels
+
+
+def _kmeans_fuzz_case(rng, case):
+    """An (n, k) embedding with k from 1 to 5, of one of six kinds."""
+    k = int(rng.integers(1, 6))
+    n = int(rng.integers(k, 60))
+    kind = case % 6
+    if kind == 0:  # noisy blocks
+        X = np.eye(k)[rng.integers(0, k, size=n)] + rng.uniform(0.0, 0.8) * rng.normal(size=(n, k))
+    elif kind == 1:  # no more distinct rows than clusters: empty clusters
+        distinct = rng.normal(size=(int(rng.integers(1, k + 1)), k))
+        X = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == 2:  # small integers: exact distance ties
+        X = rng.integers(-2, 3, size=(n, k)).astype(np.float64)
+    elif kind == 3:  # subnormal-adjacent scale
+        X = 1e-300 * rng.normal(size=(n, k))
+    elif kind == 4:  # near-constant rows
+        X = 1.0 + 1e-12 * rng.normal(size=(n, k))
+    else:  # a spectral embedding, as spectral_cluster hands it over
+        M = rng.random((n, n))
+        X = np.linalg.eigh(M + M.T)[1][:, -k:]
+    return X, k
+
+
+def test_kmeans_matches_previous_update(monkeypatch):
+    # the same labels, and the same centers at every iteration up to the
+    # sign of a zero, as the per-restart update: duplicates, ties, tiny and
+    # near-constant data, empty clusters and k = 1
+    this_module = sys.modules[__name__]
+    rng = np.random.default_rng(22)
+    for case in range(200):
+        X, k = _kmeans_fuzz_case(rng, case)
+        seed = int(rng.integers(1000))
+        runs = []
+        for module, kmeans in ((xsdc.labeling, xsdc.labeling._kmeans), (this_module, _previous_kmeans)):
+            centers = []
+
+            def recorded(A, B, centers=centers):
+                centers.append(B.copy())
+                return xsdc.features.sqeuclidean(A, B)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(module, "sqeuclidean", recorded)
+                runs.append((kmeans(X, k, seed), centers))
+        (labels, centers), (expected_labels, expected_centers) = runs
+        assert np.array_equal(labels, expected_labels), case
+        assert len(centers) == len(expected_centers), case
+        assert all(map(np.array_equal, centers, expected_centers)), case
 
 
 # ------------------------------------------------------------------ hungarian

@@ -213,6 +213,31 @@ class TestRidgeKernel:
         with pytest.raises(ValueError):
             ridge_kernel(np.ones((1, 3)), 1.0)
 
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_out_is_bitwise_the_allocating_call(self, n):
+        rng = np.random.default_rng(n)
+        phi = rng.normal(size=(n, 8))
+        out = np.full((n, n), np.nan)
+        A = ridge_kernel(phi, 0.1, out=out)
+        assert A is out
+        assert A.tobytes() == ridge_kernel(phi, 0.1).tobytes()
+        assert A.tobytes() == np.ascontiguousarray(A.T).tobytes()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "not C-contiguous", "list", "shares phi"])
+    def test_rejected_out_raises(self, bad):
+        n = 6
+        base = np.random.default_rng(12).normal(size=(n, n))
+        phi = base[:, :3]
+        out = {
+            "shape": np.empty((n, n + 1)),
+            "dtype": np.empty((n, n), dtype=np.float32),
+            "not C-contiguous": np.empty((n, n), order="F"),
+            "list": np.zeros((n, n)).tolist(),
+            "shares phi": base,
+        }[bad]
+        with pytest.raises(ValueError, match="^out must"):
+            ridge_kernel(phi, 0.1, out=out)
+
     @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0, True, np.True_])
     def test_lam_must_be_finite_and_positive(self, lam):
         # lam = True used to run as lam = 1; ridge_solve shares the check

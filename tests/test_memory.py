@@ -1,4 +1,5 @@
-"""Peak memory of one training step's kernels, in (n, n) float64 arrays.
+"""Peak memory of one training step's kernels, in (n, n) float64 arrays,
+and the page faults of a whole run.
 
 tracemalloc sees every numpy data buffer, so the traced peak of a call is
 the most its arrays hold at once, returned value included (BLAS work space
@@ -6,10 +7,16 @@ is not counted).  At b = 1024 rows an (n, n) array is 8 MiB, and every
 (n, p) array together stays far below a tenth of that.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import xsdc
 from xsdc.balancing import BalancingProblem, balance_doubling
 from xsdc.data import Dataset
 from xsdc.features import NystromLayer, forward
@@ -89,9 +96,8 @@ def test_balance_forms_M_in_the_kernel_buffer():
     assert _peak_arrays(call) <= 1.5
 
 
-def test_whole_main_loop_step_peak():
-    # forward, kernel, pins, balance and the landmark step of one semi batch
-    # at once; 2.25 measured when this bound was set
+def _semi_step(buffers=(None, None)):
+    """A call that runs one main-loop step on a semi batch, and its state."""
     layer, X, _ = _batch()
     rng = np.random.default_rng(3)
     truth = rng.integers(0, 4, size=B)
@@ -102,7 +108,89 @@ def test_whole_main_loop_step_peak():
     rows = np.arange(B)
 
     def call():
-        _step(state, dataset, rows, labels, _NO_CONSTRAINTS, config.ulr, RunMetrics(), "batch")
+        _step(state, dataset, rows, labels, _NO_CONSTRAINTS, config.ulr, RunMetrics(), "batch",
+              buffers)
 
+    return call, state
+
+
+def test_whole_main_loop_step_peak():
+    # forward, kernel, pins, balance and the landmark step of one semi batch
+    # at once; 2.25 measured when this bound was set
+    call, state = _semi_step()
     assert _peak_arrays(call) <= 2.5
     assert state.iteration == 1
+
+
+def test_main_loop_step_given_its_buffers_builds_no_square_float_array():
+    # with A's and M's buffers handed in, as train hands them to every
+    # main-loop step, the (n, n) bool finiteness check of A (0.125) and the
+    # pins are what is left
+    call, state = _semi_step((np.empty((B, B)), np.empty((B, B))))
+    call()
+    assert _peak_arrays(call) < 0.5
+    assert state.iteration == 2
+
+
+# One in-process seed-0 run of the pairs-n300-b128 benchmark workload, the
+# minor page faults of its training call printed.  With "grow" an 8 MB array
+# is allocated and freed first: glibc then keeps freed blocks of up to 8 MB
+# on the heap instead of returning them to the system.
+_PAIRS_RUN = """
+import importlib.util, resource, sys
+import numpy as np
+from xsdc import TrainConfig, UlrConfig, make_blobs, train
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+spec = workloads.WORKLOADS["pairs-n300-b128"]
+ds = make_blobs(seed=0, **spec["data"])
+train_rows = ds.split_indices("train")
+unlabeled = train_rows[ds.labels[train_rows] < 0]
+zero = unlabeled[ds.true_labels[unlabeled] == 0]
+one = unlabeled[ds.true_labels[unlabeled] == 1]
+ulr_keys = ("lam", "learning_rate", "alpha", "rho")
+config = TrainConfig(
+    seed=0,
+    constraints=[(int(i), int(j), 0.0) for i in zero for j in one],
+    ulr=UlrConfig(**{k: v for k, v in spec["train"].items() if k in ulr_keys}),
+    **{k: v for k, v in spec["train"].items() if k not in ulr_keys},
+)
+if sys.argv[2] == "grow":
+    grown = np.ones(1 << 20)
+    del grown
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(ds, config, mode=spec["mode"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's heap trimming is Linux behaviour")
+def test_pairs_run_faults_do_not_follow_the_heap_history():
+    # A step that allocated and freed its (n, n) arrays let glibc trim the
+    # heap after each b = 128 step and fault it back in on the next: about
+    # 47,000 faults against 730 with the heap grown first, from every start.
+    # Where the heap starts depends on the process's environment, so the
+    # fresh run starts from five sizes of an unused variable.  From some
+    # starts glibc still trims after the pin temporaries of a step (about
+    # 30,000 faults, 2 to 4 of 15 starts under pytest), so the best start is
+    # held to the bound: a step that allocates its (n, n) arrays again fails
+    # it from every start.
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    threads = ("XSDC_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {**os.environ, **dict.fromkeys(threads, "1"),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(xsdc.__file__))}
+
+    def faults(heap, pad):
+        out = subprocess.run(
+            [sys.executable, "-c", _PAIRS_RUN, str(workloads), heap],
+            env={**env, "XSDC_TEST_PAD": "x" * pad},
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        return int(out.stdout)
+
+    fresh = [faults("fresh", pad) for pad in (0, 300, 600, 900, 1200)]
+    grown = faults("grow", 0)
+    assert min(fresh) <= 2 * grown, (fresh, grown)

@@ -198,9 +198,9 @@ def test_one_ridge_kernel_per_main_step(monkeypatch):
     # supervised_init leaves the kernel to ulr_step
     calls = {}
     for module in (xsdc.trainer, xsdc.ulr):
-        def counted(phi, lam, _name=module.__name__):
+        def counted(phi, lam, out=None, _name=module.__name__):
             calls[_name] = calls.get(_name, 0) + 1
-            return ridge_kernel(phi, lam)
+            return ridge_kernel(phi, lam, out=out)
 
         monkeypatch.setattr(module, "ridge_kernel", counted)
     cfg = _small_config(supervised_init_iters=4, main_iters=6, eval_every=3)
