@@ -10,7 +10,9 @@ objective, its analytic gradients, the regularizer, a single gradient step on
 the landmarks, the reverse (projection residual) objective used for
 comparison, and the closed-form Lipschitz/smoothness bounds of both
 objectives.  One helper gives the objective and its gradient to all three
-callers; given A, it builds no other (n, n) array.
+callers; given A, it builds no other (n, n) array.  The fit is read off the
+dense A, the gradient off the ridge factor of linalg (phi_c, R), so the only
+(n, n) pass of the gradient is one product of M with an (n, D) array.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from .data import finite_number
 from .errors import TrainingDiverged
 from .features import backward, forward
-from .linalg import ridge_kernel
+from .linalg import _ridge_factor, ridge_kernel
 
 __all__ = [
     "UlrConfig",
@@ -62,15 +64,24 @@ def _check_pair(phi, M):
 
 def _objective(phi, M, lam, A=None, grad=True):
     """(lam <M, A>, its gradient -2 lam A M A phi_c or None), A = A(phi).
-    The gradient is that of a symmetric M; A phi = A phi_c is exactly zero
-    for constant features."""
+
+    The gradient is that of a symmetric M, taken through the ridge factor
+    (phi_c, R) rather than through products with the dense A: with
+    W = phi_c R, A phi_c = phi_c G^{-1} = W R^T, and for y = M A phi_c,
+    A y = (y_c - W (W^T y_c)) / (n lam).  So it costs one (n, n) product,
+    M with an (n, D) array.  A phi = A phi_c is exactly zero for constant
+    features."""
     if A is None:
         A = ridge_kernel(phi, lam)
     fit = lam * float(np.vdot(M, A))
     if not grad:
         return fit, None
-    A_phi = A @ (phi - phi.mean(axis=0))
-    return fit, -2.0 * lam * (A @ (M @ A_phi))
+    phi_c, R = _ridge_factor(phi, lam)
+    W = phi_c @ R
+    y = M @ (W @ R.T)
+    y -= np.add.reduce(y, axis=0) / y.shape[0]  # y.mean(axis=0), without its overhead
+    y -= W @ (W.T @ y)
+    return fit, (-2.0 / phi.shape[0]) * y
 
 
 def forward_objective(phi, M, lam):

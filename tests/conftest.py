@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import copy
 import importlib.util
 from pathlib import Path
 
@@ -42,15 +43,22 @@ def _cross_cluster_pairs(ds):
     return [(int(i), int(j), 0.0) for i in zero for j in one]
 
 
+# seed0_runs keeps every this many-th main-loop balancing problem: 10, 75
+# and 25 of the three workloads, about 40 MiB
+BALANCE_STRIDE = 4
+
+
 @pytest.fixture(scope="session")
 def seed0_runs():
-    """The whitening and batch-pin inputs of the seed-0 benchmark runs.
+    """The whitening, pin and balancing inputs of the seed-0 benchmark runs.
 
     Each of the three workloads trains once through the library, the
     command-line one included.  Returns {workload: dict(whiten=[(K, epsilon,
-    dS or None)], known=[(batch_labels, pairs, values)])}: every landmark
-    Gram matrix that forward whitened, with the cotangent backward fed back
-    when there was one, and the arguments of every _batch_known call.
+    dS or None)], known=[(batch_labels, pairs, values)], problems=[...])}:
+    every landmark Gram matrix that forward whitened, with the cotangent
+    backward fed back when there was one, the arguments of every
+    _batch_known call, and every BALANCE_STRIDE-th main-loop
+    BalancingProblem, with a copy of its A (the trainer reuses the buffer).
     """
     import xsdc.features
     import xsdc.trainer
@@ -58,7 +66,7 @@ def seed0_runs():
 
     runs = {}
     for name, spec in _load_workloads().items():
-        whiten, known = [], []
+        whiten, known, problems, seen = [], [], [], [0]
 
         def recorded_inv_sqrt(K, epsilon, inner=xsdc.features.inv_sqrt):
             entry = [np.array(K), epsilon, None]
@@ -75,6 +83,16 @@ def seed0_runs():
             known.append(tuple(np.array(a) for a in args))
             return inner(*args)
 
+        def recorded_balance(problem, out=None, inner=xsdc.trainer.balance_doubling,
+                             b=spec["train"]["batch_size"]):
+            if problem.size == b:
+                if seen[0] % BALANCE_STRIDE == 0:
+                    kept = copy.copy(problem)
+                    kept.A = problem.A.copy()
+                    problems.append(kept)
+                seen[0] += 1
+            return inner(problem, out=out)
+
         ds = make_blobs(seed=0, **spec["data"])
         ulr_keys = ("lam", "learning_rate", "alpha", "rho")
         config = TrainConfig(
@@ -87,6 +105,9 @@ def seed0_runs():
             mp.setattr(xsdc.features, "inv_sqrt", recorded_inv_sqrt)
             mp.setattr(xsdc.features, "inv_sqrt_vjp", recorded_vjp)
             mp.setattr(xsdc.trainer, "_batch_known", recorded_batch_known)
+            mp.setattr(xsdc.trainer, "balance_doubling", recorded_balance)
             train(ds, config, mode=spec["mode"])
-        runs[name] = dict(whiten=[tuple(entry) for entry in whiten], known=known)
+        runs[name] = dict(
+            whiten=[tuple(entry) for entry in whiten], known=known, problems=problems
+        )
     return runs

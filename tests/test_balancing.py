@@ -374,6 +374,27 @@ def test_symmetric_contract(name):
         assert _marginal_violation(M, n_min, n_max) <= tau + 1e-12 * n_max
 
 
+@pytest.mark.parametrize("n", [2, 5, 64, 65, 150])
+def test_problem_finds_any_asymmetric_pair(n):
+    """The symmetry check runs a strip of 64 rows at a time; one unequal
+    pair anywhere, in a diagonal block, across a strip edge or in the last
+    partial strip, makes the problem store (A + A^T) / 2, and a symmetric A
+    is stored as it is."""
+    rng = np.random.default_rng(n)
+    S = rng.normal(size=(n, n))
+    S = S + S.T
+    assert BalancingProblem(S, [], 1.0, 1.0).A.tobytes() == S.tobytes()
+    corners = [(1, 0), (0, n - 1), (n - 1, n - 2), (63, 64), (64, 63), (n - 1, 64)]
+    drawn = [tuple(rng.integers(0, n, size=2)) for _ in range(20)]
+    for i, j in corners + drawn:
+        if i == j or max(i, j) >= n:
+            continue
+        A = S.copy()
+        A[i, j] += 1.0
+        stored = BalancingProblem(A, [], 1.0, 1.0).A
+        assert stored.tobytes() == (0.5 * (A + A.T)).tobytes(), (i, j)
+
+
 @pytest.mark.parametrize("field, value", [("iters", 2.7), ("num_clusters", 2.5)])
 def test_problem_counts_are_whole_numbers(field, value):
     with pytest.raises(ValueError, match=field):

@@ -213,10 +213,20 @@ class TestRidgeKernel:
         with pytest.raises(ValueError):
             ridge_kernel(np.ones((1, 3)), 1.0)
 
-    @pytest.mark.parametrize("n", [128, 512])
-    def test_out_is_bitwise_the_allocating_call(self, n):
+    # a plain gemm W W^T is not exactly symmetric at (513, 7); the strip
+    # mirror must make A so at every shape
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            pytest.param(128, 8, id="128"),
+            pytest.param(200, 16, id="200-16"),
+            pytest.param(512, 8, id="512"),
+            pytest.param(513, 7, id="513-7"),
+        ],
+    )
+    def test_out_is_bitwise_the_allocating_call(self, n, p):
         rng = np.random.default_rng(n)
-        phi = rng.normal(size=(n, 8))
+        phi = rng.normal(size=(n, p))
         out = np.full((n, n), np.nan)
         A = ridge_kernel(phi, 0.1, out=out)
         assert A is out

@@ -3,8 +3,11 @@ they replaced.
 
 The oracle functions are frozen copies of the former code: ridge_kernel as an
 (n, n) Cholesky solve against the centered identity columns, the fit as
-lam * sum(M * A) and the gradient as -2 lam A Ms (A phi).  Tolerances, set
-from float64 roundoff through an (n, n) solve with lam down to 1e-4:
+lam * sum(M * A) and the gradient as -2 lam A Ms (A phi).  The gradient,
+now taken through the ridge factor, is also held to the dense products
+-2 lam A (M (A phi)) with the A that ridge_kernel returns, at b = 512.
+Tolerances, set from float64 roundoff through an (n, n) solve with lam
+down to 1e-4:
 
   * A within 1e-12 * max|A|, and exactly symmetric;
   * the fit within 1e-10 relative;
@@ -16,7 +19,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from xsdc.linalg import ridge_kernel
-from xsdc.ulr import forward_objective, grad_phi
+from xsdc.ulr import _objective, forward_objective, grad_phi
 
 A_TOL = 1e-12
 FIT_TOL = 1e-10
@@ -115,3 +118,18 @@ def test_constant_features(value, lam):
     _check_fit(forward_objective(phi, agree, lam), oracle_fit(A_oracle, agree, lam))
     assert not grad_phi(phi, agree, lam).any()
 
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_factored_gradient_matches_dense_products_at_b512(p):
+    """The step's gradient given A, against the two dense products with the
+    same A that it replaced, on a balanced-like symmetric M."""
+    rng = np.random.default_rng(p)
+    n, lam = 512, 0.1
+    labels = rng.integers(0, 4, size=n)
+    phi = _normalized(rng.normal(size=(n, p)) + 2.0 * np.eye(4, p)[labels])
+    A = ridge_kernel(phi, lam)
+    noise = rng.uniform(size=(n, n))
+    M = 0.9 * _agreement(labels) + 0.05 * (noise + noise.T)
+    fit, grad = _objective(phi, M, lam, A)
+    assert fit == lam * float(np.vdot(M, A))
+    _check_grad(grad, -2.0 * lam * (A @ (M @ (A @ phi))))
