@@ -53,15 +53,17 @@ def _atomic_write(path, text):
 
 
 def _write_csv_rows(path, rows):
-    """Stream rows (any iterable) into path.tmp, then move it into place."""
+    """Stream rows (any iterable) into path.tmp as they are, then move it
+    into place.  Rows that hold floats go through _float_cells first."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow(
-                [f"{v:.17g}" if isinstance(v, float) else v for v in row]
-            )
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     os.replace(tmp, path)
+
+
+def _float_cells(rows):
+    """rows with every float cell written as %.17g, which round-trips."""
+    return ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _jsonable(value):
@@ -135,14 +137,11 @@ def cmd_train(args):
         dataset, config, mode=mode,
         listener=lambda rec: _emit("metric", **{k: _jsonable(v) for k, v in rec.items()}),
     )
-    _write_csv_rows(os.path.join(out_dir, "metrics.csv"), metrics.to_rows())
+    _write_csv_rows(os.path.join(out_dir, "metrics.csv"), _float_cells(metrics.to_rows()))
     _atomic_write(os.path.join(out_dir, "checkpoint.json"), state.best_checkpoint)
     label_rows = itertools.chain(
         [("row_index", "predicted_label", "source")],
-        (
-            (i, int(metrics.final_labels[i]), metrics.final_sources[i])
-            for i in range(dataset.n)
-        ),
+        zip(range(dataset.n), metrics.final_labels.tolist(), metrics.final_sources),
     )
     _write_csv_rows(os.path.join(out_dir, "labels.csv"), label_rows)
     worst_constraint = (
@@ -221,7 +220,7 @@ def cmd_balance(args):
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv_rows(
         os.path.join(args.out_dir, "balanced.csv"),
-        (row.tolist() for row in result.M),
+        _float_cells(row.tolist() for row in result.M),
     )
     report = {
         "n": A.shape[0],
@@ -285,7 +284,7 @@ def cmd_sweep(args):
     best, rows = sweep(dataset, grids, config, mode=mode)
     _write_csv_rows(
         os.path.join(out_dir, "sweep.csv"),
-        [("parameter", "value", "val_accuracy")] + list(rows),
+        _float_cells([("parameter", "value", "val_accuracy")] + list(rows)),
     )
     best_doc = {
         "format_version": CONFIG_VERSION,

@@ -44,8 +44,9 @@ def rbf_kernel(A, B, sigma):
 
 # elements of the difference buffer of one sqeuclidean chunk
 _DIST_CHUNK = 1 << 18
-# median_bandwidth reads only this many leading rows
+# median_bandwidth reads only this many leading rows, in blocks of this many
 _BANDWIDTH_ROWS = 1000
+_BANDWIDTH_BLOCK = 64
 
 
 def _ordered_sum(terms):
@@ -75,9 +76,16 @@ def sqeuclidean(A, B):
 def median_bandwidth(X):
     """Median pairwise Euclidean distance over the first _BANDWIDTH_ROWS rows.
 
-    Bit for bit np.median(scipy.spatial.distance.pdist(X[:1000])).
-    One product estimates every squared distance; only pairs near the
-    median get their exact one.  Raises ValueError for non-finite rows.
+    Bit for bit np.median(scipy.spatial.distance.pdist(X[:1000])).  One
+    product per block of _BANDWIDTH_BLOCK rows estimates the squared
+    distances of its pairs i < j: the block above its diagonal and all of it
+    right of the diagonal.  The estimates of the N = m (m - 1) / 2 pairs fill
+    one array, partitioned in place for the median ranks (N - 1) // 2 and
+    N // 2 and then freed; a second pass over the same blocks counts the
+    pairs estimated clearly shorter and keeps those near the median, and
+    only those get their exact distance.  The memory is the N float64
+    estimates (4 MB at m = 1000) and one block's O(_BANDWIDTH_BLOCK m)
+    values.  Raises ValueError for non-finite rows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -89,29 +97,59 @@ def median_bandwidth(X):
     A = Y - Y.mean(axis=0)
     sq = np.einsum("ij,ij->i", A, A)[:, None]
     one = np.ones_like(sq)
-    est = (np.hstack([A, sq, one]) @ np.hstack([-2.0 * A, one, sq]).T).ravel()
-    # |est - q| <= bound for the sum q pdist forms (0 on the diagonal): with
-    # u = eps / 2, a = fl(y - mean), R = 4 max |a|^2, gamma_n = n u / (1 - n u),
-    # centering moves q by 2.04 u R, the product errs by (gamma_d + gamma_{d+2})
-    # R and pdist's sum by gamma_{d+2} R, below (1.5 d + 3.1) eps R in all;
-    # bound doubles (d + 4) eps R, plus a subnormal step per product in a term.
+    left, right = np.hstack([A, sq, one]), np.hstack([-2.0 * A, one, sq])
+    # |est - q| <= bound for the sum q pdist forms: with u = eps / 2,
+    # a = fl(y - mean), R = 4 max |a|^2, gamma_n = n u / (1 - n u), centering
+    # moves q by 2.04 u R, the product errs by (gamma_d + gamma_{d+2}) R and
+    # pdist's sum by gamma_{d+2} R, below (1.5 d + 3.1) eps R in all; bound
+    # doubles (d + 4) eps R, plus a subnormal step per product in a term.
+    # The gamma bounds of a dot product hold in any summation order, so they
+    # hold for every block shape the product takes.
     tiny = np.finfo(np.float64).smallest_subnormal
     bound = 2.0 * (d + 4) * (np.finfo(np.float64).eps * 4.0 * sq.max() + tiny)
-    # m diagonal zeros sort first and each pair counts twice: median pairs,
-    # ranks (N - 1) // 2 and N // 2 of N, are ranks r and r + 2 (N even) of est
+
+    step = _BANDWIDTH_BLOCK
+    upper = np.triu(np.ones((step, step), dtype=bool), 1)
+    buffer = np.empty(step * m)
+
+    def blocks():
+        """Per block of rows: its first row, the estimates of its pairs above
+        the diagonal (flat, row by row) and those right of the diagonal, the
+        latter in one buffer that the next block overwrites."""
+        for start in range(0, m - 1, step):
+            rows = left[start:start + step]
+            b, stop = rows.shape[0], start + rows.shape[0]
+            tri = (rows @ right[start:stop].T)[upper[:b, :b]]
+            rect = buffer[:b * (m - stop)].reshape(b, m - stop)
+            yield start, tri, np.matmul(rows, right[stop:].T, out=rect)
+
     n_pairs = m * (m - 1) // 2
-    r = m + 2 * ((n_pairs - 1) // 2)
-    ranks = [r, r + 2 * (n_pairs % 2 == 0)]
-    part = np.partition(est, r)
-    upper = part[r + 1:]
-    upper[np.argmin(upper)] = np.inf
-    hi = upper.min() if ranks[1] > r else part[r]
-    # entries below part[r] - 2 bound are shorter than the median pairs,
+    ranks = ((n_pairs - 1) // 2, n_pairs // 2)
+    est = np.empty(n_pairs)
+    filled = 0
+    for _, tri, rect in blocks():
+        for part in (tri, rect.ravel()):
+            est[filled:filled + part.size] = part
+            filled += part.size
+    est.partition(ranks[0])
+    lo = est[ranks[0]]
+    hi = est[ranks[0] + 1:].min() if ranks[1] > ranks[0] else lo
+    del est
+    # pairs estimated below lo - 2 bound are shorter than the median pairs,
     # those above hi + 2 bound longer; a NaN or infinite bound keeps all
-    below = est < part[r] - 2.0 * bound
-    i, j = np.divmod(np.flatnonzero(~(below | (est > hi + 2.0 * bound))), m)
+    low, high = lo - 2.0 * bound, hi + 2.0 * bound
+    below, kept_i, kept_j = 0, [], []
+    for start, tri, rect in blocks():
+        b = rect.shape[0]
+        below += np.count_nonzero(tri < low) + np.count_nonzero(rect < low)
+        near = ~(tri < low) & ~(tri > high)
+        i, j = np.nonzero(upper[:b, :b])
+        ri, rj = np.nonzero(~(rect < low) & ~(rect > high))
+        kept_i += [start + i[near], start + ri]
+        kept_j += [start + j[near], start + b + rj]
+    i, j = np.concatenate(kept_i), np.concatenate(kept_j)
     q = np.sort(_ordered_sum(np.square(Y.T[:, i] - Y.T[:, j])))
-    sigma = float(np.mean(np.sqrt(q[np.subtract(ranks, np.count_nonzero(below))])))
+    sigma = float(np.mean(np.sqrt(q[np.subtract(ranks, below)])))
     if sigma <= 0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return sigma

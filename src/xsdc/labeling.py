@@ -22,7 +22,7 @@ from .linalg import ridge_solve
 KMEANS_RESTARTS = 20
 KMEANS_ITERS = 100
 # unlabeled rows per distance block in nn_propagate; bounds its memory at
-# _PROPAGATE_BLOCK x |labeled| distances
+# _PROPAGATE_BLOCK x |labeled| float32 scores
 _PROPAGATE_BLOCK = 1024
 
 
@@ -41,6 +41,11 @@ def nn_propagate(features_all, labeled_idx, labels_S):
     its nearest labeled row in Euclidean distance; distance ties prefer the
     lowest observation index.  Non-finite features and labeled indices
     that are not integers raise ValueError.
+
+    The unlabeled rows go through _nearest in blocks of _PROPAGATE_BLOCK,
+    against the float32 operands of the labeled rows built once here, so
+    the largest array is one block's _PROPAGATE_BLOCK x |labeled| float32
+    scores; the other arrays hold O((|labeled| + block) d) values.
     """
     features_all = np.asarray(features_all, dtype=np.float64)
     given = np.asarray(labeled_idx)
@@ -64,38 +69,78 @@ def nn_propagate(features_all, labeled_idx, labels_S):
     labels = np.full(n, -1, dtype=np.int64)
     labels[labeled_idx] = labels_S
     unlabeled = np.flatnonzero(labels < 0)
-    labeled_features = features_all[labeled_idx]
+    C = features_all[labeled_idx]
+    norms = np.einsum("ij,ij->i", C, C)
+    # [-2 C^T; |c|^2]: a row [x, 1] times it scores every labeled row
+    C32 = np.empty((C.shape[1] + 1, C.shape[0]), dtype=np.float32)
+    with np.errstate(over="ignore"):  # only out of range, see _screen_reach
+        np.multiply(C.T, -2.0, out=C32[:-1])
+        C32[-1] = norms
+    reach = _screen_reach(C, norms).max()
     # each row's label is decided alone, so blocking changes no label
     for start in range(0, unlabeled.size, _PROPAGATE_BLOCK):
         rows = unlabeled[start:start + _PROPAGATE_BLOCK]
-        labels[rows] = labels_S[_nearest(features_all[rows], labeled_features)]
+        labels[rows] = labels_S[_nearest(features_all[rows], C, C32, reach)]
     return LabelAssignment(labels=labels, source="nearest_neighbor")
 
 
-def _nearest(X, C):
+def _screen_reach(A, norms):
+    """norms (the |a|^2 of the rows of A), or inf for a row with |a|^2 over
+    2^125 or an entry neither 0 nor of magnitude in [2^-60, 2^60].  Within
+    these limits every float32 operand, product and score of _nearest's
+    screen is normal or an exact sum, and none overflows."""
+    mag = np.abs(A)
+    normal = np.all((mag == 0) | ((mag >= 2.0**-60) & (mag <= 2.0**60)), axis=1)
+    return np.where(normal & (norms <= 2.0**125), norms, np.inf)
+
+
+def _nearest(X, C, C32, c_reach):
     """Per row of X, the first row of C at the least Euclidean distance.
 
-    Equals np.argmin(cdist(X, C), axis=1), ties included.  One product
-    scores the rows of C by |c|^2 - 2 x.c; rows of X whose runner-up scores
-    within bound of the best are re-decided on exact distances.  With
-    u = eps / 2, R = |x|^2 + max |c|^2 and gamma_n = n u / (1 - n u), a score
-    errs by 2 gamma_{d+1} R at most, cdist's sum by 2 gamma_{d+2} R, and the
-    rounded roots of sums 10.1 u R apart differ: a runner-up over (8 d + 23)
-    u R behind lies farther in cdist too.  bound is 16 (d + 4) u R plus a
-    subnormal step per product in a score or sum.
+    Equals np.argmin(cdist(X, C), axis=1), ties included.  C32 is
+    [-2 C^T; |c|^2] in float32 (|c|^2 formed in float64) and c_reach the
+    largest _screen_reach of the rows of C.  One float32 product [x, 1] C32
+    scores the rows of C by s = |c|^2 - 2 x.c; a row of X is decided there
+    when its runner-up scores more than bound above its best, and re-decided
+    on exact distances, as cdist forms them, otherwise.
+
+    The bound.  Let u = 2^-24, u' = 2^-53, gamma_n = n u / (1 - n u) and
+    R = |x|^2 + max |c|^2.  In range (see _screen_reach) x and -2c round to
+    float32 with relative error u each, and |c|^2 with u + gamma'_d.  A dot
+    product of n terms errs by gamma_n times the sum of their magnitudes in
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, eq. 3.5), so a score errs by at most
+    gamma_{d+3} 2|x||c| + (gamma_{d+2} + 2 gamma'_d) |c|^2
+    <= (gamma_{d+3} + gamma_{d+2} + 2 gamma'_d) R, (2d + 5) u R to first
+    order.  cdist's sum errs by 2 gamma'_{d+2} R, and the rounded roots of
+    sums 10.1 u' R apart differ.  A runner-up more than
+    N = 2 (gamma_{d+3} + gamma_{d+2}) R + (8 d + 23) u' R
+    ahead in float32 therefore lies farther in cdist too, whatever the
+    indices.  With g = (d + 3) u, N < 4.0001 g / (1 - g) R, and bound is
+    9 g / (1 - g) R, over twice N.
+
+    Range.  In range, x and -2c are normal in float32, their products lie in
+    [2^-119, 2^121], and a sum that underflows is exact.  R <= 2^126 keeps
+    every partial sum of a score below (1 + gamma_{d+1}) (1 + 3u) 2R < 2^128,
+    so no score overflows.  A row or a labeled set outside the range has an
+    infinite reach, hence an infinite bound, and takes the exact path: float32
+    overflow or underflow never decides a label.
     """
-    norms = np.einsum("ij,ij->i", C, C)
-    scores = X @ (-2.0 * C.T)
-    scores += norms
-    rows = np.arange(X.shape[0])
-    best = np.argmin(scores, axis=1)
-    least = scores[rows, best]
-    scores[rows, best] = np.inf
-    reach = np.einsum("ij,ij->i", X, X) + norms.max()
-    tiny = np.finfo(np.float64).smallest_subnormal
-    bound = 8.0 * (X.shape[1] + 4) * (np.finfo(np.float64).eps * reach + tiny)
-    # NaN from an overflow fails the comparison and goes to the exact path
-    close = np.flatnonzero(~(scores.min(axis=1) > least + bound))
+    n, d = X.shape
+    X32 = np.empty((n, d + 1), dtype=np.float32)
+    X32[:, -1] = 1.0
+    g = (d + 3) * 2.0**-24
+    # an overflow or inf - inf arises only in rows whose bound is infinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        X32[:, :-1] = X
+        scores = X32 @ C32
+        rows = np.arange(n)
+        best = np.argmin(scores, axis=1)
+        least = scores[rows, best]
+        scores[rows, best] = np.inf
+        reach = _screen_reach(X, np.einsum("ij,ij->i", X, X)) + c_reach
+        bound = 9.0 * g / (1.0 - g) * reach if g < 0.5 else np.inf
+        close = np.flatnonzero(~(scores.min(axis=1) > least + bound))
     best[close] = np.argmin(np.sqrt(sqeuclidean(X[close], C)), axis=1)
     return best
 

@@ -613,8 +613,35 @@ class TestCsvArtifacts:
             (np.int64(7), 3, True, None),
         ]
         path = tmp_path / "rows.csv"
-        cli._write_csv_rows(str(path), iter(rows))
+        cli._write_csv_rows(str(path), cli._float_cells(iter(rows)))
         self._assert_same_as_stringio(tmp_path, path, rows)
+
+    def test_train_labels_and_metrics_match_the_per_cell_writer(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # labels.csv streams zip rows of Python ints and strs, metrics.csv
+        # formats its floats; both keep the bytes of the writer that built
+        # every row with int(labels[i]) and tested each cell for a float
+        runs = []
+        train = cli.train
+
+        def recording(*args, **kwargs):
+            runs.append(train(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "train", recording)
+        config = tmp_path / "config.json"
+        out = tmp_path / "out"
+        _write_config(config, out)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        (_, metrics), = runs
+        label_rows = [("row_index", "predicted_label", "source")] + [
+            (i, int(metrics.final_labels[i]), metrics.final_sources[i])
+            for i in range(len(metrics.final_labels))
+        ]
+        assert len(label_rows) == 121
+        self._assert_same_as_stringio(tmp_path, out / "labels.csv", label_rows)
+        self._assert_same_as_stringio(tmp_path, out / "metrics.csv", metrics.to_rows())
 
     def test_every_command_writes_stringio_bytes(self, tmp_path, capsys, monkeypatch):
         written = []

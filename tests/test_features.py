@@ -95,6 +95,30 @@ class TestMedianBandwidth:
         X = rng.normal(size=(1200, 10))
         assert median_bandwidth(X) == float(np.median(pdist(X[:1000])))
 
+    def test_pdist_oracle_median_pairs_within_the_bound(self):
+        # vertices of a regular simplex moved by a few ulps, half of them
+        # duplicated or not, and points of a 0.1 grid: the pairs at and
+        # around the two median ranks lie within the error bound of each
+        # other, across blocks of rows; m runs over every residue mod 4, so
+        # the pair count N = m (m - 1) / 2 is odd and even
+        rng = np.random.default_rng(11)
+        parities = set()
+        for case in range(120):
+            m = int(rng.integers(2, 150))
+            if case % 3 == 0:
+                X = np.eye(m) * (1.0 + rng.integers(-3, 4, size=(m, 1)) * 2.0**-50)
+                X = X * 10.0 ** rng.uniform(-3, 3)
+            elif case % 3 == 1:
+                X = np.eye(m) + rng.integers(-3, 4, size=(m, m)) * 2.0**-52
+                X[m // 2:] = X[:m - m // 2]
+            else:
+                X = np.round(rng.normal(size=(m, int(rng.integers(1, 6)))), 1)
+            expected = float(np.median(pdist(X)))
+            if expected > 0:
+                parities.add(m * (m - 1) // 2 % 2)
+                assert median_bandwidth(X) == expected
+        assert parities == {0, 1}
+
     def test_non_finite_rows_rejected(self):
         X = np.random.default_rng(5).normal(size=(10, 3))
         for bad in (np.nan, np.inf):

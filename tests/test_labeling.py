@@ -110,6 +110,86 @@ def test_propagate_matches_cdist_oracle(p):
         assert np.array_equal(nn_propagate(X, idx, lab).labels, expected)
 
 
+def _float32_nearest(X, C):
+    """Per row of X, the row of C with the least score in the float32
+    arithmetic of nn_propagate's screen."""
+    X32 = np.hstack([X, np.ones((len(X), 1))]).astype(np.float32)
+    C32 = np.vstack([-2.0 * C.T, np.einsum("ij,ij->i", C, C)]).astype(np.float32)
+    return np.argmin(X32 @ C32, axis=1)
+
+
+def _twin_draw(rng, d, m, n_queries, scale):
+    """m labeled rows in near pairs and queries around them, as (X, idx).
+
+    Each second twin is the first moved by 2^-40 to 2^-20 of its size, or
+    not at all, so the two distances of a query differ by less than the
+    float32 screen's bound: their float32 scores tie or swap order."""
+    base = rng.normal(size=((m + 1) // 2, d)) * scale
+    shift = rng.integers(-8, 9, size=base.shape) * 2.0 ** -rng.integers(20, 41, size=(len(base), 1))
+    twins = base * (1.0 + shift * (rng.random((len(base), 1)) < 0.8))
+    labeled = np.vstack([base, twins])[:m]
+    queries = labeled[rng.integers(0, m, size=n_queries)] + rng.normal(size=(n_queries, d)) * scale
+    X = np.vstack([labeled, queries])
+    perm = rng.permutation(len(X))
+    return X[perm], np.argsort(perm)[:m]
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 17])
+def test_propagate_float32_screen_matches_cdist_oracle(d):
+    # near-twin labeled rows put the two least distances of most queries
+    # within the float32 bound of each other; the draws must include rows
+    # whose float32 scores pick another row than cdist, which the exact
+    # re-decision then corrects
+    rng = np.random.default_rng(100 + d)
+    float32_wrong = 0
+    for case in range(30):
+        m = 600 if case == 0 else int(rng.integers(2, 60))
+        n_queries = 1300 if case == 0 else int(rng.integers(1, 80))
+        X, idx = _twin_draw(rng, d, m, n_queries, 10.0 ** rng.uniform(-2, 2))
+        lab = rng.integers(0, 6, size=m)
+        expected = _cdist_propagate(X, idx, lab)
+        assert np.array_equal(nn_propagate(X, idx, lab).labels, expected)
+        unlabeled = np.setdiff1d(np.arange(len(X)), idx)
+        order = np.sort(idx)
+        truth = np.argmin(cdist(X[unlabeled], X[order]), axis=1)
+        float32_wrong += np.count_nonzero(_float32_nearest(X[unlabeled], X[order]) != truth)
+    assert float32_wrong > 0
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e-20, 1e-40])
+def test_propagate_outside_float32_range_matches_cdist_oracle(scale, monkeypatch):
+    # one column at 1e20 overflows float32 in the scores, one at 1e-20 or
+    # 1e-40 underflows its products or its entries; such rows, labeled or
+    # not, take the exact path
+    exact_rows = []
+    monkeypatch.setattr(xsdc.labeling, "sqeuclidean",
+                        lambda A, B: exact_rows.append(len(A)) or sqeuclidean(A, B))
+    rng = np.random.default_rng(7)
+    for case in range(20):
+        d = int(rng.integers(1, 18))
+        X, idx = _twin_draw(rng, d, int(rng.integers(2, 40)), 50, 1.0)
+        X[:, rng.integers(d)] *= scale
+        if case % 2:
+            X[rng.integers(len(X))] = 0.0
+        lab = rng.integers(0, 4, size=idx.size)
+        assert np.array_equal(nn_propagate(X, idx, lab).labels, _cdist_propagate(X, idx, lab))
+    assert sum(exact_rows) == 20 * 50
+
+
+def test_propagate_screen_decides_most_rows(monkeypatch):
+    # apart from near ties the float32 scores decide: well spread rows
+    # against 600 labeled ones send almost none to the exact distances
+    exact_rows = []
+    monkeypatch.setattr(xsdc.labeling, "sqeuclidean",
+                        lambda A, B: exact_rows.append(len(A)) or sqeuclidean(A, B))
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(5000, 8))
+    idx = rng.choice(5000, size=600, replace=False)
+    lab = rng.integers(0, 4, size=600)
+    assert np.array_equal(nn_propagate(X, idx, lab).labels, _cdist_propagate(X, idx, lab))
+    assert sum(exact_rows) <= 0.01 * 4400
+
+
 def test_propagate_rejects_non_finite_features():
     X = np.random.default_rng(4).normal(size=(6, 2))
     for bad in (np.nan, np.inf):

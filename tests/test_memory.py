@@ -1,5 +1,6 @@
 """Peak memory of one training step's kernels, in (n, n) float64 arrays,
-and the page faults of a whole run.
+of the two all-pairs distance kernels outside the step, and the page
+faults of a whole run.
 
 tracemalloc sees every numpy data buffer, so the traced peak of a call is
 the most its arrays hold at once, returned value included (BLAS work space
@@ -19,7 +20,8 @@ import pytest
 import xsdc
 from xsdc.balancing import BalancingProblem, balance_doubling
 from xsdc.data import Dataset
-from xsdc.features import NystromLayer, forward
+from xsdc.features import NystromLayer, forward, median_bandwidth
+from xsdc.labeling import _PROPAGATE_BLOCK, nn_propagate
 from xsdc.linalg import ridge_kernel
 from xsdc.trainer import (
     _NO_CONSTRAINTS,
@@ -35,14 +37,19 @@ B, P, D = 1024, 8, 10
 LAM = 0.1
 
 
-def _peak_arrays(call):
-    """Traced peak of call() in (B, B) float64 arrays."""
+def _peak_bytes(call):
+    """Traced peak of call() in bytes."""
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / (B * B * 8)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_arrays(call):
+    """Traced peak of call() in (B, B) float64 arrays."""
+    return _peak_bytes(call) / (B * B * 8)
 
 
 def _batch():
@@ -66,6 +73,28 @@ def test_ulr_step_given_kernel_builds_no_square_array():
     config = UlrConfig(lam=LAM)
     peak = _peak_arrays(lambda: ulr_step(layer, X, M, config, batch=feats, A=A))
     assert peak < 0.2
+
+
+def test_median_bandwidth_holds_each_pair_once():
+    # the m (m - 1) / 2 pair estimates, half an (m, m) float64 array at
+    # m = 1000, and one block of rows; the full (m, m) estimate, its
+    # partitioned copy and the band mask held 2.3 such arrays
+    X = np.random.default_rng(4).normal(size=(12000, 10))
+    assert _peak_bytes(lambda: median_bandwidth(X)) <= 0.7 * 1000**2 * 8
+
+
+def test_nn_propagate_block_holds_float32_scores():
+    # one block of float32 scores against the labeled rows, and a few
+    # (rows + labeled, d + 1) arrays; the float64 scores and the products
+    # around them held 18.8 of the latter beside a float64 block
+    rng = np.random.default_rng(5)
+    m, d = 600, 10
+    n = _PROPAGATE_BLOCK + m
+    X = rng.normal(size=(n, d))
+    idx = rng.choice(n, size=m, replace=False)
+    labels = rng.integers(0, 4, size=m)
+    peak = _peak_bytes(lambda: nn_propagate(X, idx, labels))
+    assert peak <= _PROPAGATE_BLOCK * m * 4 + 4 * n * (d + 1) * 8
 
 
 def _pinned_batch():
