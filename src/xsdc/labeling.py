@@ -86,12 +86,12 @@ def nn_propagate(features_all, labeled_idx, labels_S):
 
 def _screen_reach(A, norms):
     """norms (the |a|^2 of the rows of A), or inf for a row with |a|^2 over
-    2^125 or an entry neither 0 nor of magnitude in [2^-60, 2^60].  Within
+    2^124 or an entry neither 0 nor of magnitude in [2^-60, 2^60].  Within
     these limits every float32 operand, product and score of _nearest's
     screen is normal or an exact sum, and none overflows."""
     mag = np.abs(A)
     normal = np.all((mag == 0) | ((mag >= 2.0**-60) & (mag <= 2.0**60)), axis=1)
-    return np.where(normal & (norms <= 2.0**125), norms, np.inf)
+    return np.where(normal & (norms <= 2.0**124), norms, np.inf)
 
 
 def _nearest(X, C, C32, c_reach):
@@ -120,9 +120,9 @@ def _nearest(X, C, C32, c_reach):
     9 g / (1 - g) R, over twice N.
 
     Range.  In range, x and -2c are normal in float32, their products lie in
-    [2^-119, 2^121], and a sum that underflows is exact.  R <= 2^126 keeps
-    every partial sum of a score below (1 + gamma_{d+1}) (1 + 3u) 2R < 2^128,
-    so no score overflows.  A row or a labeled set outside the range has an
+    [2^-119, 2^121], and a sum that underflows is exact.  With g < 1/2,
+    gamma_{d+1} < 1, and R <= 2^125 keeps every partial sum of a score below
+    (1 + gamma_{d+1}) (1 + 3u) 2R < 2^128, so no score overflows.  A row or a labeled set outside the range has an
     infinite reach, hence an infinite bound, and takes the exact path: float32
     overflow or underflow never decides a label.
     """

@@ -158,9 +158,10 @@ def test_propagate_float32_screen_matches_cdist_oracle(d):
 
 @pytest.mark.parametrize("scale", [1e20, 1e-20, 1e-40])
 def test_propagate_outside_float32_range_matches_cdist_oracle(scale, monkeypatch):
-    # one column at 1e20 overflows float32 in the scores, one at 1e-20 or
-    # 1e-40 underflows its products or its entries; such rows, labeled or
-    # not, take the exact path
+    # one column of magnitude 1e20 overflows float32 in the scores, one of
+    # 1e-20 or 1e-40 underflows its products or its entries; every row takes
+    # the exact path, whether all rows hold that column or only the
+    # unlabeled ones
     exact_rows = []
     monkeypatch.setattr(xsdc.labeling, "sqeuclidean",
                         lambda A, B: exact_rows.append(len(A)) or sqeuclidean(A, B))
@@ -168,9 +169,9 @@ def test_propagate_outside_float32_range_matches_cdist_oracle(scale, monkeypatch
     for case in range(20):
         d = int(rng.integers(1, 18))
         X, idx = _twin_draw(rng, d, int(rng.integers(2, 40)), 50, 1.0)
-        X[:, rng.integers(d)] *= scale
-        if case % 2:
-            X[rng.integers(len(X))] = 0.0
+        rows = np.setdiff1d(np.arange(len(X)), idx) if case % 2 else slice(None)
+        col = rng.integers(d)
+        X[rows, col] = scale * (1.0 + np.abs(X[rows, col]))
         lab = rng.integers(0, 4, size=idx.size)
         assert np.array_equal(nn_propagate(X, idx, lab).labels, _cdist_propagate(X, idx, lab))
     assert sum(exact_rows) == 20 * 50
