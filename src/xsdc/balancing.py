@@ -87,15 +87,15 @@ def default_mu(A, out=None):
 
 
 def _pin_list(known, n):
-    """Validate (i, j, m) triples into the row-major pin list (rows, cols, values).
+    """Validate (i, j, m) triples into the pin list (rows, cols, values).
 
-    A pin is symmetric: each triple pins its entry (i, j) and its mirror
-    (j, i).  Both carry the key 2 (i n + j) + (m == 1), the value in the low
-    bit.  One sort of the keys puts duplicates next to each other and shows
-    a conflict as a change of that bit within one entry, so (i, j, a) meets
-    (j, i, b) as (i, j, a) meets (i, j, b).  The first offending triple in
-    input order is reported; for that triple the checks run in the order
-    listed below.
+    A pin is symmetric: a triple pins its pair, the entry (i, j) and its
+    mirror (j, i), so the list holds each pinned pair once as (lo, hi),
+    lo <= hi, in row-major order over the upper triangle.  A triple's key is
+    2 (lo n + hi) + (m == 1), the value in the low bit.  One sort of the
+    keys puts duplicates next to each other and shows a conflict as a change
+    of that bit within one pair.  The first offending triple in input order
+    is reported; for that triple the checks run in the order listed below.
     """
     known = np.asarray(known, dtype=np.float64).reshape(-1, 3)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip below
@@ -103,10 +103,8 @@ def _pin_list(known, n):
     m = known[:, 2]
     whole = (i == known[:, 0]) & (j == known[:, 1])
     in_range = whole & (0 <= i) & (i < n) & (0 <= j) & (j < n)
-    entry = np.where(in_range, i * n + j, -1)
-    mirror = np.where(in_range, j * n + i, -1)
-    tag = m == 1.0
-    keys = np.sort(np.concatenate([2 * entry + tag, 2 * mirror + tag]))
+    pair = np.where(in_range, np.minimum(i, j) * n + np.maximum(i, j), -1)
+    keys = np.sort(2 * pair + (m == 1.0))
     keys = keys[np.diff(keys, prepend=keys[:1] - 1) > 0]  # the distinct keys
     checks = [
         (~whole, "known entry ({i}, {j}) needs finite integer indices"),
@@ -115,9 +113,7 @@ def _pin_list(known, n):
         ((i == j) & (m == 0.0), "diagonal entry ({i}, {i}) pinned to 0 is infeasible"),
     ]
     if any(bad.any() for bad, _ in checks) or np.any(keys[1:] >> 1 == keys[:-1] >> 1):
-        # a triple conflicts when the first triple at its unordered pair
-        # pins another value
-        pair = np.minimum(entry, mirror)
+        # a triple conflicts when the first triple at its pair pins another value
         _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
         checks.append((m != m[first[inverse]], "conflicting known values at ({i}, {j})"))
         failed = np.array([bad for bad, _ in checks])
@@ -149,8 +145,9 @@ class BalancingProblem:
         duplicates, must not pin different values.  Must contain the full
         diagonal (i, i, 1).  An empty list is the pure-transport mode used
         by the Sinkhorn tests.
-        _pin_list stores them as pins = (rows, cols, values), each distinct
-        pinned entry once in row-major order; no (n, n) array is kept.
+        _pin_list stores them as pins = (rows, cols, values), each pinned
+        pair once as (i, j) with i <= j, in row-major order; the mirror
+        (j, i) is pinned all the same.  No (n, n) array is kept.
     n_min, n_max : bounds on every row sum, finite with 0 <= n_min <= n_max
     mu : finite positive entropy weight; None means default_mu(A)
     iters : cap on the rounds, a whole number of at least 1; balance stops
@@ -261,10 +258,10 @@ def _dual(u, Nu, log_u, excess, n_delta, work):
 def balance(problem, mu=None, out=None):
     """Run the symmetric balancing rounds.
 
-    The kernel is the free kernel N_free, exp(-Q_tilde) with the pinned
-    entries zeroed, plus the pinned multipliers 1 / (u_i u_j) of the ones
-    pins, frozen at the u that starts the round.  With c_i the number of
-    ones pins in row i (pins are symmetric, so also in column i), one round is
+    The kernel is the free kernel N_free, exp(-Q_tilde) with each pinned
+    pair zeroed in both orientations, plus the multipliers 1 / (u_i u_j) of
+    the ones pins, frozen at the u that starts the round.  With c_i the
+    count of ones pins in row i, a pair i < j in both rows, one round is
 
         row = N_free u + c / u
         s = w (log(box(row) / row) - log u),    w = 3/4,
@@ -326,8 +323,9 @@ def balance(problem, mu=None, out=None):
     box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta
     tol = _STOP_TOL * problem.n_max
 
-    pi, pj, m = problem.pins
-    c = np.bincount(pi[m == 1.0], minlength=n).astype(np.float64)  # ones pins per row
+    pi, pj, m = problem.pins  # each pair once, pi <= pj
+    ones = m == 1.0  # c counts the ones pins per row, a pair in both its rows
+    c = np.bincount(np.concatenate([pi[ones], pj[ones & (pi != pj)]]), minlength=n).astype(float)
     flat = pi * n + pj  # the pins in the flattened kernel, a quicker index
 
     with np.errstate(over="ignore", under="ignore"):
@@ -343,6 +341,7 @@ def balance(problem, mu=None, out=None):
             round_index=0,
         )
     N_free.reshape(-1)[flat] = 0.0
+    N_free.reshape(-1)[pj * n + pi] = 0.0
 
     u = np.ones(n)
     log_u, log_next = np.zeros(n), np.empty(n)
@@ -407,14 +406,14 @@ def balance(problem, mu=None, out=None):
             trajectory.append(dual)
 
     # M = (u_i N_ij) u_j, finite wherever M is (u_i u_j alone can overflow
-    # where N_ij is 0), in two contiguous passes over the buffer; its upper
-    # triangle is then mirrored below the diagonal, so M == M^T bitwise
+    # where N_ij is 0), in two contiguous passes over the buffer; with the
+    # pin values in its upper triangle it is mirrored, so M == M^T bitwise
     with np.errstate(over="ignore", invalid="ignore"):
         N_free *= u[:, None]
         N_free *= u
-    mirror_upper(N_free)
     M = N_free
     M.reshape(-1)[flat] = m
+    mirror_upper(M)
     violation = _marginal_violation(M, problem.n_min, problem.n_max)
     return EquivalenceMatrix(
         M=M,

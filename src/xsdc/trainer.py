@@ -9,8 +9,9 @@ batch's ridge kernel A(phi), which the step builds once and hands to
 balancing and to the gradient step alike.  _batch_pairs finds a batch's
 constraint pairs once per step; _batch_known adds the diagonal and the
 labeled pairs in one array that BalancingProblem validates into a sorted
-pin list.  Fully labeled batches skip balancing: their agreement matrix is
-determined by the labels, so a step on them is plain supervised training.
+pin list, each pinned pair once as (i, j) with i <= j.  Fully labeled
+batches skip balancing: their agreement matrix is determined by the
+labels, so a step on them is plain supervised training.
 
 The main loop's batches all have one size b, so train allocates two b x b
 float64 buffers once and every main-loop step reuses them: ridge_kernel
@@ -436,13 +437,12 @@ def _batch_known(batch_labels, pairs, values):
     each constraint pair inside the batch, once: a labeled pair in one
     orientation, a constraint pair as pairs holds its batch positions (c, 2)
     and values its 0/1 value, as _batch_pairs gives them.  BalancingProblem
-    pins each entry's mirror.
+    keeps each pinned pair once and pins its mirror too.
     """
     labeled = np.flatnonzero(batch_labels >= 0)
     diagonal = np.arange(batch_labels.size)
-    block_i, block_j = np.repeat(labeled, labeled.size), np.tile(labeled, labeled.size)
-    upper = block_i < block_j  # labeled ascends: each labeled pair once
-    upper_i, upper_j = block_i[upper], block_j[upper]
+    a, b = np.triu_indices(labeled.size, 1)  # labeled ascends: each labeled pair once
+    upper_i, upper_j = labeled[a], labeled[b]
     i = np.concatenate([diagonal, upper_i, pairs[:, 0]])
     j = np.concatenate([diagonal, upper_j, pairs[:, 1]])
     agree = batch_labels[upper_i] == batch_labels[upper_j]

@@ -25,6 +25,17 @@ def write_csv():
     return _write_csv
 
 
+def with_mirrors(pins):
+    """An upper pin list (rows, cols, values), each pair once with i <= j,
+    with the mirror (j, i) of every off-diagonal pair added, in row-major
+    order: the entries of M that the list pins."""
+    rows, cols, values = pins
+    off = rows != cols
+    rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.concatenate([values, values[off]])[order]
+
+
 def _load_workloads():
     """The benchmark's workload specs, read from perfbench/workloads.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -45,6 +45,8 @@ from xsdc.balancing import (
 from xsdc.data import finite_number
 from xsdc.errors import BalancingDivergence
 
+from conftest import with_mirrors
+
 # the M of two stops before the cap, relative to max |M|, as in
 # test_balance_oracle.py; the largest gap on the fuzz here is 2.8e-9
 M_RTOL = 1e-8
@@ -69,7 +71,7 @@ def previous_balance(problem, mu=None):
     box_lo, box_hi = n_sigma - n_delta, n_sigma + n_delta
     tol = _STOP_TOL * problem.n_max
 
-    pi, pj, m = problem.pins
+    pi, pj, m = with_mirrors(problem.pins)
     c = np.bincount(pi[m == 1.0], minlength=n)
 
     with np.errstate(over="ignore", under="ignore"):
@@ -172,7 +174,7 @@ def assert_matches_previous(problem, mu=None):
         return None, error
     assert _bits(result.mu) == _bits(expected.mu)
     assert np.array_equal(result.M, result.M.T)
-    pi, pj, m = problem.pins
+    pi, pj, m = with_mirrors(problem.pins)
     assert np.array_equal(result.M[pi, pj], m)
     assert result.known_violation == 0.0
     if result.rounds < problem.iters and expected.rounds < problem.iters:
@@ -240,7 +242,7 @@ def assert_rounds_follow_the_rule(problem, result, rounds):
     """Each candidate is the damped step plus beta times the last accepted
     change, and a round falls back to the damped step exactly when its
     candidate raised the dual; returns the number of fallbacks."""
-    pi, pj, m = problem.pins
+    pi, pj, m = with_mirrors(problem.pins)
     n = problem.size
     c = np.bincount(pi[m == 1.0], minlength=n)
     with np.errstate(over="ignore", under="ignore"):
@@ -519,7 +521,7 @@ def test_any_layout_of_A_pins_exactly(layout):
     problem = BalancingProblem(other, known, 20.0, 40.0, iters=30)
     result, error = assert_matches_previous(problem)
     assert error is None
-    pi, pj, m = problem.pins
+    pi, pj, m = with_mirrors(problem.pins)
     assert np.array_equal(result.M[pi, pj], m)
     assert result.known_violation == 0.0
     assert _bits(result.M) == _bits(expected.M)

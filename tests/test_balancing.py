@@ -95,13 +95,17 @@ class TestProblemValidation:
         return BalancingProblem(A, self.form(known), n_min, n_max)
 
     def test_transpose_closure_required(self):
-        # one orientation pins both entries
+        # one orientation pins both entries: the pin list holds the pair
+        # once, and balance pins it in both orientations of M
         A = np.zeros((3, 3))
         known = diagonal_known(3) + [(0, 1, 1)]
-        rows, cols, values = self.problem(A, known).pins
-        assert rows.tolist() == [0, 0, 1, 1, 2]
-        assert cols.tolist() == [0, 1, 0, 1, 2]
-        assert values.tolist() == [1.0] * 5
+        problem = self.problem(A, known, 1.0, 3.0)
+        rows, cols, values = problem.pins
+        assert rows.tolist() == [0, 0, 1, 2]
+        assert cols.tolist() == [0, 1, 1, 2]
+        assert values.tolist() == [1.0] * 4
+        M = balance(problem, mu=1.0).M
+        assert M[0, 1] == M[1, 0] == 1.0
 
     def test_diagonal_required_when_nonempty(self):
         A = np.zeros((3, 3))
@@ -131,14 +135,15 @@ class TestProblemValidation:
             self.problem(np.zeros((2, 2)), known)
 
     def test_one_sided_pin_past_every_key(self):
-        # the mirror (1, 0) of a one-sided pin sorts past every key given
-        # but that of (1, 1), and takes the pin's value
-        rows, cols, values = self.problem(
-            np.zeros((2, 2)), [(0, 0, 1), (0, 1, 0), (1, 1, 1)]
-        ).pins
-        assert rows.tolist() == [0, 0, 1, 1]
-        assert cols.tolist() == [0, 1, 0, 1]
-        assert values.tolist() == [1.0, 0.0, 0.0, 1.0]
+        # the mirror (1, 0) of a one-sided pin, which sorts past every entry
+        # given but (1, 1), is not listed but takes the pin's value in M
+        problem = self.problem(np.zeros((2, 2)), [(0, 0, 1), (0, 1, 0), (1, 1, 1)])
+        rows, cols, values = problem.pins
+        assert rows.tolist() == [0, 0, 1]
+        assert cols.tolist() == [0, 1, 1]
+        assert values.tolist() == [1.0, 0.0, 1.0]
+        M = balance(problem, mu=1.0).M
+        assert M[0, 1] == M[1, 0] == 0.0
 
     def test_empty_known_is_pure_transport(self):
         problem = self.problem(np.zeros((3, 3)), [])

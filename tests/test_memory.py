@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import xsdc
-from xsdc.balancing import BalancingProblem, balance_doubling
+from xsdc.balancing import BalancingProblem, _pin_list, balance_doubling
 from xsdc.data import Dataset
 from xsdc.features import NystromLayer, forward, median_bandwidth
 from xsdc.labeling import _PROPAGATE_BLOCK, nn_propagate
@@ -111,6 +111,17 @@ def test_problem_keeps_no_square_pin_state():
     A, known = _pinned_batch()
     peak = _peak_arrays(lambda: BalancingProblem(A, known, 200.0, 312.0, iters=5))
     assert peak <= 0.25
+
+
+def test_pin_list_keys_each_pair_once(seed0_runs):
+    # on a seed-0 pairs batch (b = 128, about 3,500 triples, most of them
+    # must-not-link pairs) the keys, the distinct keys and the list: 71
+    # bytes a triple when this bound was set, 118 when the mirror of each
+    # triple was keyed and listed too
+    batch_labels, pairs, values = seed0_runs["pairs-n300-b128"]["known"][0]
+    known = _batch_known(batch_labels, pairs, values)
+    assert len(known) > 3000
+    assert _peak_bytes(lambda: _pin_list(known, batch_labels.size)) <= 90 * len(known)
 
 
 def test_balance_forms_M_in_the_kernel_buffer():

@@ -3,9 +3,10 @@
 The oracle functions are frozen copies of the former pin handling: the
 trainer's per-batch triple lists and the dict that BalancingProblem built
 from them, which pins each triple's mirror too.  The pin list (rows, cols,
-values) must hold exactly the entries of that dict in row-major order, the
-order np.nonzero lists a mask in, and validation must fail with the same
-messages.
+values) holds each pinned pair once, (i, j) with i <= j; with the mirrors
+added (conftest.with_mirrors) it must hold exactly the entries of that dict
+in row-major order, the order np.nonzero lists a mask in, and validation
+must fail with the same messages.
 """
 
 import warnings
@@ -13,8 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from xsdc.balancing import BalancingProblem, _pin_list
+from xsdc.balancing import BalancingProblem, _pin_list, balance
 from xsdc.trainer import _batch_known, _batch_pairs
+
+from conftest import with_mirrors
 
 
 def oracle_normalize_known(known, n):
@@ -70,8 +73,11 @@ def oracle_arrays(known, n):
 
 
 def assert_pins_match(problem, mask, values):
+    pi, pj, _ = problem.pins
+    # each pair once, in the upper triangle, in row-major order
+    assert np.all(pi <= pj) and np.all(np.diff(pi * mask.shape[0] + pj) > 0)
     rows, cols = np.nonzero(mask)
-    pi, pj, m = problem.pins
+    pi, pj, m = with_mirrors(problem.pins)
     assert np.array_equal(pi, rows)
     assert np.array_equal(pj, cols)
     assert np.array_equal(m, values[mask])
@@ -237,14 +243,21 @@ def test_transposition_check_on_int64_columns():
     diagonal = [(i, i, 1.0) for i in range(n)]
     pairs = [(5, n - 1, 0.0), (n - 1, 5, 0.0), (7, 9, 1.0), (9, 7, 1.0)]
     rows, cols, values = _pin_list(diagonal + pairs, n)
+    upper = sorted(diagonal + [(5, n - 1, 0.0), (7, 9, 1.0)])
+    assert list(zip(rows.tolist(), cols.tolist(), values.tolist())) == upper
+    # with the mirrors added, the entries of the dict code
     entries = sorted(oracle_normalize_known(diagonal + pairs, n).items())
-    assert rows.tolist() == [i for (i, _), _ in entries]
-    assert cols.tolist() == [j for (_, j), _ in entries]
-    assert values.tolist() == [m for _, m in entries]
-    # the one-sided pin past 2**31 is mirrored
+    mirrored = with_mirrors((rows, cols, values))
+    assert list(zip(*(part.tolist() for part in mirrored))) == [(i, j, m) for (i, j), m in entries]
+    # the one-sided pin past 2**31 pins the same pair
     one_sided = _pin_list(diagonal + pairs[:1] + pairs[2:], n)
     for got, full in zip(one_sided, (rows, cols, values)):
         assert np.array_equal(got, full)
+    # the same one-sided pins at n = 12 pin both orientations of M; an
+    # (n, n) M at n = 40,000 would take 12.8 GB
+    small = [(i, i, 1.0) for i in range(12)] + [(5, 11, 0.0), (9, 7, 1.0)]
+    M = balance(BalancingProblem(np.zeros((12, 12)), small, 1.0, 3.0, mu=1.0)).M
+    assert M[5, 11] == M[11, 5] == 0.0 and M[7, 9] == M[9, 7] == 1.0
     known = diagonal + pairs[:3] + [(9, 7, 0.0)]
     with pytest.raises(ValueError) as caught:
         _pin_list(known, n)
